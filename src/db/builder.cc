@@ -1,6 +1,5 @@
 #include "db/builder.hh"
 
-#include <deque>
 #include <sstream>
 #include <thread>
 
@@ -73,20 +72,13 @@ buildEntry(const std::string &workload_name,
     entry.policy = policy::policyName(pk);
     entry.table.setSymbols(symbols);
     entry.table.setLineBytes(cfg.llc.line_bytes);
+    entry.table.setHistoryLen(history_len);
     entry.table.reserve(stream.size());
 
-    std::deque<PcAddr> window;
-    std::vector<PcAddr> history;
     sim::LlcReplayer replayer(cfg.llc, std::move(pol));
-    replayer.replay(
-        stream, &oracle,
-        [&](const sim::ReplayEvent &ev) {
-            history.assign(window.begin(), window.end());
-            entry.table.append(ev, history);
-            window.push_back(PcAddr{ev.pc, ev.address});
-            if (window.size() > history_len)
-                window.pop_front();
-        });
+    replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
+        entry.table.append(ev);
+    });
 
     const StatsExpert expert(entry.table);
     entry.metadata = buildMetadataString(expert);

@@ -29,7 +29,7 @@ struct BuildOptions
         policy::PolicyKind::Parrot, policy::PolicyKind::Mlp};
     /** 0 = use each workload model's default trace length. */
     std::uint64_t accesses_override = 0;
-    /** Recent-access-history window stored per row. */
+    /** Preceding rows rendered as each row's access history. */
     std::uint32_t history_len = 4;
     /**
      * Worker threads for the parallel build path: trace generation
@@ -38,6 +38,12 @@ struct BuildOptions
      * The output is byte-identical to the sequential build (tables,
      * metadata strings, key ordering). 1 = sequential; 0 = one thread
      * per hardware core.
+     *
+     * The default stays 1. On a 4-vCPU VM, 0 builds the default
+     * database ~2.5x faster, but the parallel path holds every
+     * workload's stream at once, and a serving process built that way
+     * peaked ~10% higher in RSS in all 10 serve_cold pairs measured.
+     * The README's database section records the serving-latency runs.
      */
     std::size_t build_threads = 1;
 };

@@ -69,8 +69,7 @@ TraceTable::reserve(std::size_t n)
     reuse_.reserve(n);
     recency_.reserve(n);
     evicted_reuse_.reserve(n);
-    evicted_line_id_.reserve(n);
-    evicted_pc_id_.reserve(n);
+    evicted_row_.reserve(n);
     snap_off_.reserve(n + 1);
     score_off_.reserve(n + 1);
 }
@@ -95,16 +94,6 @@ TraceTable::internAddr(std::uint64_t addr)
     return it->second;
 }
 
-std::uint32_t
-TraceTable::internLine(std::uint64_t line)
-{
-    auto [it, inserted] = line_lookup_.emplace(
-        line, static_cast<std::uint32_t>(lines_.size()));
-    if (inserted)
-        lines_.push_back(line);
-    return it->second;
-}
-
 namespace {
 
 std::int64_t
@@ -117,15 +106,17 @@ toSigned(std::uint64_t v)
 } // namespace
 
 void
-TraceTable::append(const sim::ReplayEvent &ev,
-                   const std::vector<PcAddr> &history)
+TraceTable::append(const sim::ReplayEvent &ev)
 {
+    const std::size_t next_row = size();
+    CM_ASSERT(ev.index == next_row, "event ", ev.index,
+              " appended as row ", next_row);
+    CM_ASSERT(ev.line == ev.address / line_bytes_,
+              "event line is not its address's line");
     if (snap_off_.empty()) {
         snap_off_.push_back(0);
         score_off_.push_back(0);
     }
-    if (history_len_ == 0 && !history.empty())
-        history_len_ = static_cast<std::uint32_t>(history.size());
 
     pc_id_.push_back(internPc(ev.pc));
     addr_id_.push_back(internAddr(ev.address));
@@ -146,43 +137,24 @@ TraceTable::append(const sim::ReplayEvent &ev,
     reuse_.push_back(toSigned(ev.reuse_distance));
     recency_.push_back(toSigned(ev.recency));
     evicted_reuse_.push_back(toSigned(ev.evicted_reuse_distance));
-    evicted_line_id_.push_back(
-        ev.has_victim ? internLine(ev.evicted_line) : 0);
-    evicted_pc_id_.push_back(ev.has_victim ? internPc(ev.evicted_pc)
-                                           : 0);
+    CM_ASSERT(!ev.has_victim || ev.evicted_last_index < next_row,
+              "victim references a later row");
+    evicted_row_.push_back(
+        ev.has_victim ? static_cast<std::uint32_t>(ev.evicted_last_index)
+                      : 0);
 
     for (const auto &entry : ev.snapshot) {
-        snap_pc_id_.push_back(internPc(entry.pc));
-        snap_line_id_.push_back(internLine(entry.line));
+        CM_ASSERT(entry.last_index < next_row,
+                  "snapshot entry references a later row");
+        snap_row_.push_back(static_cast<std::uint32_t>(entry.last_index));
     }
-    snap_off_.push_back(static_cast<std::uint32_t>(snap_pc_id_.size()));
+    snap_off_.push_back(static_cast<std::uint32_t>(snap_row_.size()));
 
     for (const auto score : ev.scores) {
         scores_.push_back(static_cast<std::uint32_t>(
             std::min<std::uint64_t>(score, 0xffffffffULL)));
     }
     score_off_.push_back(static_cast<std::uint32_t>(scores_.size()));
-
-    std::uint8_t count = 0;
-    for (const auto &h : history) {
-        hist_pc_id_.push_back(internPc(h.pc));
-        hist_addr_id_.push_back(internAddr(h.address));
-        ++count;
-    }
-    // Pad so the pool stays fixed-width per row.
-    for (std::uint32_t i = count; i < history_len_; ++i) {
-        hist_pc_id_.push_back(0);
-        hist_addr_id_.push_back(0);
-    }
-    hist_count_.push_back(count);
-}
-
-std::uint64_t
-TraceTable::evictedAddressAt(std::size_t i) const
-{
-    if (!hasVictimAt(i))
-        return 0;
-    return lines_[evicted_line_id_[i]] * line_bytes_;
 }
 
 std::string
@@ -381,22 +353,17 @@ TraceTable::row(std::size_t i) const
     }
 
     for (std::uint32_t k = snap_off_[i]; k < snap_off_[i + 1]; ++k) {
+        const std::uint32_t j = snap_row_[k];
         r.current_cache_lines.push_back(
-            PcAddr{pcs_[snap_pc_id_[k]],
-                   lines_[snap_line_id_[k]] * line_bytes_});
+            PcAddr{pcAt(j), lineAddressAt(j)});
     }
     for (std::uint32_t k = score_off_[i]; k < score_off_[i + 1]; ++k)
         r.cache_line_eviction_scores.push_back(scores_[k]);
 
-    if (history_len_ > 0) {
-        const std::size_t base =
-            static_cast<std::size_t>(i) * history_len_;
-        for (std::uint8_t k = 0; k < hist_count_[i]; ++k) {
-            r.recent_access_history.push_back(
-                PcAddr{pcs_[hist_pc_id_[base + k]],
-                       addrs_[hist_addr_id_[base + k]]});
-        }
-    }
+    // The access history is the rows just before this one.
+    for (std::size_t j = i - std::min<std::size_t>(i, history_len_);
+         j < i; ++j)
+        r.recent_access_history.push_back(PcAddr{pcAt(j), addressAt(j)});
     return r;
 }
 

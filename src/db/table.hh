@@ -2,13 +2,17 @@
  * @file
  * The per-trace "dataframe" of the external database (§4.3).
  *
- * Storage is columnar with interned dictionaries for PCs, addresses,
- * and lines so that a full 12-table database stays within a few
- * hundred megabytes. Row materialisation (AccessRow) renders the
- * source-level string columns (function name/code, disassembly,
- * textual recency) on demand from the workload's symbol table, which
- * keeps identical rows byte-identical — required for exact-match
- * grading in CacheMindBench.
+ * Storage is columnar with interned dictionaries for PCs and
+ * addresses. Every replayed access is one row, and the cache stamps
+ * each resident line with the (pc, stream index) of its last touch,
+ * so a snapshot entry or a victim is stored as the index of that
+ * earlier row, and a row's access history is the rows just before
+ * it. The default 12-table database builds within ~400 MB. Row
+ * materialisation (AccessRow) renders the source-level string columns
+ * (function name/code, disassembly, textual recency) on demand from
+ * the workload's symbol table, which keeps identical rows
+ * byte-identical — required for exact-match grading in
+ * CacheMindBench.
  */
 
 #ifndef CACHEMIND_DB_TABLE_HH
@@ -99,17 +103,20 @@ class TraceTable
     }
     const trace::SymbolTable *symbols() const { return symbols_; }
 
-    /** Line size used to render line base addresses. */
+    /** Line size used to render line base addresses; set before append. */
     void setLineBytes(std::uint32_t bytes) { line_bytes_ = bytes; }
+
+    /** Rows rendered as each row's recent_access_history. */
+    void setHistoryLen(std::uint32_t n) { history_len_ = n; }
 
     void reserve(std::size_t n);
 
     /**
-     * Append one replay event; `history` is the recent-access window
-     * (most recent last) maintained by the builder.
+     * Append one replay event as row `ev.index`, which must equal
+     * size(). Snapshot entries and the victim are stored as their
+     * last-touch rows, so those must already be in the table.
      */
-    void append(const sim::ReplayEvent &ev,
-                const std::vector<PcAddr> &history);
+    void append(const sim::ReplayEvent &ev);
 
     std::size_t size() const { return pc_id_.size(); }
     bool empty() const { return pc_id_.empty(); }
@@ -150,10 +157,13 @@ class TraceTable
         return evicted_reuse_[i];
     }
     /** Base byte address of the victim line (0 when none). */
-    std::uint64_t evictedAddressAt(std::size_t i) const;
+    std::uint64_t evictedAddressAt(std::size_t i) const
+    {
+        return hasVictimAt(i) ? lineAddressAt(evicted_row_[i]) : 0;
+    }
     std::uint64_t evictedPcAt(std::size_t i) const
     {
-        return hasVictimAt(i) ? pcs_[evicted_pc_id_[i]] : 0;
+        return hasVictimAt(i) ? pcAt(evicted_row_[i]) : 0;
     }
 
     /** Textual recency descriptor used in the string column. */
@@ -238,20 +248,25 @@ class TraceTable
         return (flags_[i] & bit) != 0;
     }
 
+    /** Base byte address of the line row `j` accessed. */
+    std::uint64_t
+    lineAddressAt(std::size_t j) const
+    {
+        return addressAt(j) / line_bytes_ * line_bytes_;
+    }
+
     std::uint32_t internPc(std::uint64_t pc);
     std::uint32_t internAddr(std::uint64_t addr);
-    std::uint32_t internLine(std::uint64_t line);
 
     const trace::SymbolTable *symbols_ = nullptr;
     std::uint32_t line_bytes_ = 64;
+    std::uint32_t history_len_ = 0;
 
     // Dictionaries.
     std::vector<std::uint64_t> pcs_;
     std::vector<std::uint64_t> addrs_;
-    std::vector<std::uint64_t> lines_;
     std::unordered_map<std::uint64_t, std::uint32_t> pc_lookup_;
     std::unordered_map<std::uint64_t, std::uint32_t> addr_lookup_;
-    std::unordered_map<std::uint64_t, std::uint32_t> line_lookup_;
 
     // Core columns.
     std::vector<std::uint32_t> pc_id_;
@@ -262,21 +277,15 @@ class TraceTable
     std::vector<std::int64_t> reuse_;
     std::vector<std::int64_t> recency_;
     std::vector<std::int64_t> evicted_reuse_;
-    std::vector<std::uint32_t> evicted_line_id_;
-    std::vector<std::uint32_t> evicted_pc_id_;
+    /** Victim's last-touch row (0 when none). */
+    std::vector<std::uint32_t> evicted_row_;
 
-    // Snapshot pools: [snap_off_[i], snap_off_[i+1]) slices.
+    // Snapshot pools: [snap_off_[i], snap_off_[i+1]) slices of
+    // last-touch rows, one per resident line.
     std::vector<std::uint32_t> snap_off_;
-    std::vector<std::uint32_t> snap_pc_id_;
-    std::vector<std::uint32_t> snap_line_id_;
+    std::vector<std::uint32_t> snap_row_;
     std::vector<std::uint32_t> score_off_;
     std::vector<std::uint32_t> scores_;
-
-    // History pool (fixed-width window per row).
-    std::uint32_t history_len_ = 0;
-    std::vector<std::uint32_t> hist_pc_id_;
-    std::vector<std::uint32_t> hist_addr_id_;
-    std::vector<std::uint8_t> hist_count_;
 
     /**
      * Lazily built postings index. Heap-allocated so the table stays

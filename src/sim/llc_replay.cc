@@ -157,8 +157,8 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         if (want_event && i % snapshot_every == 0) {
             for (const auto &l : cache_->linesOf(set)) {
                 if (l.valid)
-                    ev.snapshot.push_back(
-                        SnapshotEntry{l.last_pc, l.line});
+                    ev.snapshot.push_back(SnapshotEntry{
+                        l.last_pc, l.line, l.last_access_index});
             }
             ev.scores = cache_->setScores(set);
         }
@@ -199,6 +199,7 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
             ev.has_victim = true;
             ev.evicted_line = res.evicted_line;
             ev.evicted_pc = res.evicted_pc;
+            ev.evicted_last_index = res.evicted_last_index;
             if (oracle) {
                 // The victim's next use after its last touch is the
                 // next use after now (hits refresh last touch).

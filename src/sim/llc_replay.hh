@@ -72,6 +72,8 @@ struct SnapshotEntry
 {
     std::uint64_t pc = 0;
     std::uint64_t line = 0;
+    /** Stream index of the line's last touch, which set `pc`. */
+    std::uint64_t last_index = 0;
 };
 
 /** Fully annotated replayed LLC access. */
@@ -89,6 +91,8 @@ struct ReplayEvent
     bool has_victim = false;
     std::uint64_t evicted_line = 0;
     std::uint64_t evicted_pc = 0;
+    /** Stream index of the evicted line's last touch. */
+    std::uint64_t evicted_last_index = 0;
 
     /** Forward reuse distance of the accessed line (or sentinel). */
     std::uint64_t reuse_distance = policy::kNoNextUse;

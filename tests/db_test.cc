@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the trace database: table storage round-trip, statistics
- * expert, metadata strings, end-to-end building, shard views, the
- * thread safety of the lazy expert and postings-index caches, the
- * index-vs-reference-scan equivalence of filters and listings, and
- * the byte-identical equivalence of the parallel build to the
- * sequential one.
+ * Tests for the trace database: table storage round-trip, the
+ * row-reference snapshot, victim and history columns against the
+ * replay events they came from, statistics expert, metadata strings,
+ * end-to-end building, shard views, the thread safety of the lazy
+ * expert and postings-index caches, the index-vs-reference-scan
+ * equivalence of filters and listings, and the byte-identical
+ * equivalence of the parallel build to the sequential one.
  */
 
 #include <gtest/gtest.h>
@@ -27,18 +28,34 @@ using namespace cachemind::db;
 
 namespace {
 
-/** Small hand-built table: 2 PCs, mixed hits/misses. */
+std::uint64_t
+tinyPc(std::uint64_t i)
+{
+    return (i % 2) ? 0xB00 : 0xA00;
+}
+
+std::uint64_t
+tinyAddress(std::uint64_t i)
+{
+    return 0x1000 + (i % 3) * 64;
+}
+
+/**
+ * Small hand-built table: 2 PCs, 3 lines in 3 sets, mixed hits and
+ * misses. Like a real replay, every snapshot entry and the victim
+ * name the earlier row that last touched their line.
+ */
 TraceTable
 makeTinyTable()
 {
     TraceTable t;
     t.setLineBytes(64);
-    std::vector<PcAddr> history;
+    t.setHistoryLen(4);
     for (std::uint64_t i = 0; i < 10; ++i) {
         sim::ReplayEvent ev;
         ev.index = i;
-        ev.pc = (i % 2) ? 0xB00 : 0xA00;
-        ev.address = 0x1000 + (i % 3) * 64;
+        ev.pc = tinyPc(i);
+        ev.address = tinyAddress(i);
         ev.line = ev.address / 64;
         ev.set = static_cast<std::uint32_t>(ev.line % 4);
         ev.hit = i >= 3;             // first three accesses miss
@@ -47,18 +64,21 @@ makeTinyTable()
         ev.reuse_distance = (i < 9) ? 3 : policy::kNoNextUse;
         ev.recency = (i >= 3) ? 3 : sim::kNoPrevUse;
         if (i == 5) {
+            // Row 0's line, last touched by PC 0xA00.
             ev.has_victim = true;
-            ev.evicted_line = 0x7777;
-            ev.evicted_pc = 0xA00;
+            ev.evicted_line = tinyAddress(0) / 64;
+            ev.evicted_pc = tinyPc(0);
+            ev.evicted_last_index = 0;
             ev.evicted_reuse_distance = 2;
             ev.wrong_eviction = true;
         }
-        ev.snapshot = {sim::SnapshotEntry{0xA00, ev.line}};
+        // A hit finds its line resident, last touched three rows ago.
+        if (ev.hit) {
+            ev.snapshot = {
+                sim::SnapshotEntry{tinyPc(i - 3), ev.line, i - 3}};
+        }
         ev.scores = {1, 2, 3, 4};
-        t.append(ev, history);
-        history.push_back(PcAddr{ev.pc, ev.address});
-        if (history.size() > 4)
-            history.erase(history.begin());
+        t.append(ev);
     }
     return t;
 }
@@ -85,7 +105,7 @@ TEST(TraceTableTest, VictimColumns)
     const auto t = makeTinyTable();
     EXPECT_TRUE(t.hasVictimAt(5));
     EXPECT_FALSE(t.hasVictimAt(4));
-    EXPECT_EQ(t.evictedAddressAt(5), 0x7777u * 64);
+    EXPECT_EQ(t.evictedAddressAt(5), 0x1000u);
     EXPECT_EQ(t.evictedAddressAt(4), 0u);
     EXPECT_EQ(t.evictedPcAt(5), 0xA00u);
     EXPECT_TRUE(t.wrongEvictionAt(5));
@@ -127,12 +147,21 @@ TEST(TraceTableTest, RowMaterialisation)
     EXPECT_EQ(row5.program_counter, 0xB00u);
     EXPECT_FALSE(row5.is_miss);
     EXPECT_TRUE(row5.has_victim);
+    EXPECT_EQ(row5.evicted_address, 0x1000u);
     ASSERT_EQ(row5.current_cache_lines.size(), 1u);
     EXPECT_EQ(row5.current_cache_lines[0].pc, 0xA00u);
+    EXPECT_EQ(row5.current_cache_lines[0].address, 0x1080u);
     EXPECT_EQ(row5.cache_line_eviction_scores.size(), 4u);
-    ASSERT_EQ(row5.recent_access_history.size(), 4u);
-    // Most recent history entry is access 4.
-    EXPECT_EQ(row5.recent_access_history.back().pc, 0xA00u);
+    // The history is accesses 1-4, most recent last.
+    const std::vector<PcAddr> window = {{0xB00, 0x1040},
+                                        {0xA00, 0x1080},
+                                        {0xB00, 0x1000},
+                                        {0xA00, 0x1040}};
+    EXPECT_EQ(row5.recent_access_history, window);
+    // Early rows see only the accesses before them.
+    EXPECT_TRUE(t.row(0).recent_access_history.empty());
+    EXPECT_EQ(t.row(2).recent_access_history,
+              (std::vector<PcAddr>{{0xA00, 0x1000}, {0xB00, 0x1040}}));
 }
 
 TEST(TraceTableTest, RecencyText)
@@ -284,6 +313,69 @@ TEST(StatsExpertTest, TopPcsOrdering)
     EXPECT_GE(top[1].misses, top[2].misses);
 }
 
+TEST(TraceTableTest, HistoryIsThePrecedingRows)
+{
+    const auto db = buildSingleDatabase(trace::WorkloadKind::Mcf,
+                                        policy::PolicyKind::Lru, 20000);
+    const auto &t = db.find("mcf", "lru")->table;
+    const std::size_t history_len = BuildOptions{}.history_len;
+    ASSERT_GT(t.size(), history_len);
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        std::vector<PcAddr> expected;
+        for (std::size_t j = i - std::min(i, history_len); j < i; ++j)
+            expected.push_back(PcAddr{t.pcAt(j), t.addressAt(j)});
+        ASSERT_EQ(t.row(i).recent_access_history, expected)
+            << "row " << i;
+    }
+}
+
+TEST(TraceTableTest, RowReferencesMatchReplayedEvents)
+{
+    // A small LLC so that sets fill and lines are evicted often.
+    sim::CacheConfig llc = sim::defaultHierarchyConfig().llc;
+    llc.sets = 64;
+    llc.ways = 4;
+    const auto stream = sim::captureLlcStream(
+        trace::makeWorkload(trace::WorkloadKind::Mcf)->generate(20000));
+    const auto oracle = sim::computeOracle(stream);
+    for (const auto pk :
+         {policy::PolicyKind::Lru, policy::PolicyKind::Belady}) {
+        TraceTable t;
+        t.setLineBytes(llc.line_bytes);
+        std::vector<sim::ReplayEvent> events;
+        sim::LlcReplayer replayer(llc, policy::makePolicy(pk));
+        replayer.replay(stream, &oracle,
+                        [&](const sim::ReplayEvent &ev) {
+                            t.append(ev);
+                            events.push_back(ev);
+                        });
+        ASSERT_EQ(t.size(), stream.size());
+
+        std::size_t victims = 0;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const sim::ReplayEvent &ev = events[i];
+            const auto lines = t.row(i).current_cache_lines;
+            ASSERT_EQ(lines.size(), ev.snapshot.size()) << "row " << i;
+            for (std::size_t k = 0; k < lines.size(); ++k) {
+                ASSERT_EQ(lines[k],
+                          (PcAddr{ev.snapshot[k].pc,
+                                  ev.snapshot[k].line * llc.line_bytes}))
+                    << "row " << i << " way " << k;
+            }
+            ASSERT_EQ(t.hasVictimAt(i), ev.has_victim) << "row " << i;
+            if (!ev.has_victim)
+                continue;
+            ++victims;
+            ASSERT_EQ(t.evictedPcAt(i), ev.evicted_pc) << "row " << i;
+            ASSERT_EQ(t.evictedAddressAt(i),
+                      ev.evicted_line * llc.line_bytes)
+                << "row " << i;
+        }
+        // Belady bypasses most dead fills; both still evict often.
+        EXPECT_GT(victims, 100u) << policy::policyName(pk);
+    }
+}
+
 namespace {
 
 /**
@@ -305,10 +397,16 @@ tableFingerprint(const TraceTable &t)
            << t.evictedAddressAt(i) << ',' << t.evictedPcAt(i) << '\n';
         if (i % 97 == 0) {
             const auto row = t.row(i);
-            os << row.function_name << '|' << row.recency_text << '|'
-               << row.recent_access_history.size() << '|'
-               << row.current_cache_lines.size() << '|'
-               << row.cache_line_eviction_scores.size() << '\n';
+            os << row.function_name << '|' << row.recency_text << '|';
+            for (const auto &h : row.recent_access_history)
+                os << h.pc << ':' << h.address << ' ';
+            os << '|';
+            for (const auto &l : row.current_cache_lines)
+                os << l.pc << ':' << l.address << ' ';
+            os << '|';
+            for (const auto score : row.cache_line_eviction_scores)
+                os << score << ' ';
+            os << '\n';
         }
     }
     return os.str();

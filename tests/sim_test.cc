@@ -199,6 +199,7 @@ TEST(ReplayTest, AnnotationsMatchOracle)
     // Victim of event 2 is line 1 (LRU), which is needed at index 3:
     EXPECT_TRUE(events[2].has_victim);
     EXPECT_EQ(events[2].evicted_line, 1u);
+    EXPECT_EQ(events[2].evicted_last_index, 0u); // line 1's last touch
     EXPECT_EQ(events[2].evicted_reuse_distance, 1u);
     EXPECT_TRUE(events[2].wrong_eviction); // 3 reused at 5, 1 at 3
 }
@@ -220,6 +221,9 @@ TEST(ReplayTest, SnapshotCapturesResidentLines)
     ASSERT_EQ(events[2].snapshot.size(), 2u);
     EXPECT_EQ(events[2].snapshot[0].line, 1u);
     EXPECT_EQ(events[2].snapshot[0].pc, 0x101u);
+    // Each entry names the access that last touched it.
+    EXPECT_EQ(events[2].snapshot[0].last_index, 0u);
+    EXPECT_EQ(events[2].snapshot[1].last_index, 1u);
     EXPECT_EQ(events[2].scores.size(), 4u);
 }
 
