@@ -457,13 +457,9 @@ static void
 BM_MultiProgramPlan(benchmark::State &state)
 {
     // Ranger's policy-comparison plan: one DSL program per policy
-    // shard, the fan-out that shard-parallel execution targets. Arg
-    // is the exec_threads knob (1 = sequential, 4 = parallel); the
-    // bundle is byte-identical in both arms, only wall clock moves.
+    // shard, executed in plan order on the calling thread.
     const auto &database = fullDb();
-    retrieval::RangerConfig cfg;
-    cfg.exec_threads = static_cast<std::size_t>(state.range(0));
-    retrieval::RangerRetriever ranger(database, cfg);
+    retrieval::RangerRetriever ranger(database);
     const std::vector<std::string> questions = {
         "Which policy has the lowest miss rate in the mcf workload?",
         "Which policy has the highest miss rate in the astar "
@@ -477,10 +473,7 @@ BM_MultiProgramPlan(benchmark::State &state)
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MultiProgramPlan)
-    ->Arg(1)  // sequential program execution
-    ->Arg(4)  // shard-parallel workers
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultiProgramPlan)->Unit(benchmark::kMillisecond);
 
 namespace {
 

@@ -34,7 +34,7 @@ TRACKED = [
     "BM_PostingsIntersect/10/10",  # balanced-sparse SIMD merge kernel
     "BM_PostingsIntersect/200/200",  # dense bitmap word-AND kernel
     "BM_ColdQuestionRetrieval/1",  # cold sweep on the postings index
-    "BM_MultiProgramPlan/4",       # shard-parallel policy comparison
+    "BM_MultiProgramPlan",         # multi-program policy comparison
     "BM_AskBatchRepeatedSlots/1",  # repeated slots, bundle cache on
     "BM_AskStreamFirstEvent/1",    # time to first streamed evidence
     "BM_ServeRoundTrip",           # line-protocol ask round trip

@@ -1,7 +1,8 @@
 /**
  * @file
  * Minimal index-space parallelism shared by the parallel database
- * build and the engine's component construction. One primitive only:
+ * build, the index warm-up, the engine's component construction and
+ * askBatch's per-worker claim loops. One primitive only:
  * a blocking parallelFor over [0, n) with atomic work handout, so
  * tasks of uneven cost (Parrot training vs a plain LRU replay)
  * balance automatically without a scheduler.

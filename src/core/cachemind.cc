@@ -121,12 +121,6 @@ CacheMind::CacheMind(CacheMind &&) noexcept = default;
 
 CacheMind::~CacheMind() = default;
 
-query::ParsedQuery
-CacheMind::parseStage(const std::string &question) const
-{
-    return parser_->parse(question);
-}
-
 std::string
 CacheMind::planStage(const retrieval::Retriever &retriever,
                      const query::ParsedQuery &parsed) const
@@ -152,175 +146,205 @@ CacheMind::resolveDeadline(double request_ms) const
 
 namespace {
 
-/**
- * EvidenceSink for *traced* blocking retrieval: active (so retrievers
- * emit their sections) but text-discarding — each emit becomes one
- * "section:<label>" child span under the retrieve-stage span.
- * Evidence bytes never depend on sink activity (the streaming
- * invariant), so a traced ask stays byte-identical to an untraced
- * one.
- */
-class TraceEvidenceSink final : public retrieval::EvidenceSink
+StreamEvent
+makeEvent(StreamEvent::Kind kind, std::uint32_t span)
 {
-  public:
-    explicit TraceEvidenceSink(const obs::TraceContext &tc)
-        : tc_(tc), mark_(obs::RequestTrace::nowNs())
-    {
-    }
-
-    void
-    emit(const std::string &label, const std::string &) override
-    {
-        const std::uint64_t now = obs::RequestTrace::nowNs();
-        tc_.trace->addSpan(tc_.parent, "section:" + label, mark_, now);
-        mark_ = now;
-        ++sections_;
-    }
-
-    std::uint64_t sections() const { return sections_; }
-
-  private:
-    obs::TraceContext tc_;
-    std::uint64_t mark_;
-    std::uint64_t sections_ = 0;
-};
-
-/**
- * Close out a traced retrieve stage: the cache-tier outcome, a
- * synthesized section span when the retriever never ran (cache hits
- * and single-flight waits produce no emissions, but a complete span
- * tree still shows one retrieval-section span), and the degraded
- * annotations naming the stage that crossed the deadline.
- */
-void
-traceRetrieveOutcome(const obs::TraceContext &tc, const char *outcome,
-                     std::uint64_t sections, std::uint64_t start_ns,
-                     bool degraded)
-{
-    if (!tc)
-        return;
-    tc.note("cache", outcome);
-    if (sections == 0) {
-        tc.trace->addSpan(tc.parent, std::string("section:") + outcome,
-                          start_ns, obs::RequestTrace::nowNs());
-    }
-    if (degraded) {
-        tc.note("degraded", "true");
-        tc.note("deadline_expired_in", "retrieve");
-    }
+    StreamEvent event;
+    event.kind = kind;
+    event.span = span;
+    return event;
 }
 
 } // namespace
+
+/**
+ * The one sink of a pipeline run. With a channel it pushes every
+ * StreamEvent — stage boundaries, evidence sections, answer deltas —
+ * and keeps the counts EngineStats.stream reports; when the request
+ * is traced each evidence section also becomes a "section:<label>"
+ * span under the retrieve span. With neither it is inactive, so an
+ * untraced blocking ask runs the retrievers with chunk formatting
+ * off. Evidence bytes never depend on the sink (the streaming
+ * invariant), so every form of a request answers identically.
+ */
+class CacheMind::PipelineSink final : public retrieval::EvidenceSink
+{
+  public:
+    PipelineSink(StreamChannel *channel, const Deadline &deadline)
+        : channel_(channel)
+    {
+        setDeadline(deadline);
+    }
+
+    bool streaming() const { return channel_ != nullptr; }
+
+    /**
+     * Push one event. Emission is counted even if the consumer has
+     * cancelled — the pipeline's shape does not depend on whether
+     * anyone is still listening — but a refused push on a cancelled
+     * channel then unwinds the run, so generation also stops
+     * streaming into a dead channel.
+     */
+    void
+    push(StreamEvent event)
+    {
+        if (first_event_ms_ < 0.0)
+            first_event_ms_ = clock_.milliseconds();
+        ++events_;
+        chunks_ += event.kind == StreamEvent::Kind::EvidenceChunk;
+        deltas_ += event.kind == StreamEvent::Kind::AnswerDelta;
+        // Time in push is dominated by backpressure waits on a full
+        // buffer (consumer pacing), not by answering work.
+        Stopwatch push_timer;
+        const bool accepted = channel_->push(std::move(event));
+        blocked_ms_ += push_timer.milliseconds();
+        if (!accepted && channel_->cancelled())
+            throw retrieval::StreamCancelled{};
+    }
+
+    /** Record evidence sections as spans under `retrieve` from now. */
+    void
+    traceSections(const obs::TraceContext &retrieve)
+    {
+        tc_ = retrieve;
+        mark_ = tc_ ? obs::RequestTrace::nowNs() : 0;
+    }
+
+    void
+    emit(const std::string &label, const std::string &text) override
+    {
+        const std::uint32_t span = sectionSpan("section:" + label);
+        if (channel_)
+            pushChunk(label, text, span);
+    }
+
+    bool active() const override { return tc_ || channel_; }
+
+    // The channel's consumer-side cancel is the pipeline's cooperative
+    // cancellation token: retrievers polling the sink between evidence
+    // sections observe a dropped AnswerStream / disconnected serving
+    // session and abandon the rest of the retrieval.
+    bool
+    cancelled() const override
+    {
+        return channel_ && channel_->cancelled();
+    }
+
+    /**
+     * Close out the retrieve stage: the cache-tier outcome, the
+     * degraded annotations naming the stage that crossed the
+     * deadline, and — when the retriever never ran (a cache hit, a
+     * coalesced wait) or emitted nothing — one section span named by
+     * the outcome, so the span tree stays complete. A stream gets a
+     * cache hit's bundle as one pre-assembled "cached" chunk.
+     */
+    void
+    finishRetrieve(const char *outcome,
+                   const retrieval::ContextBundle &evidence, bool hit)
+    {
+        tc_.note("cache", outcome);
+        if (sections_ == 0) {
+            const std::uint32_t span =
+                sectionSpan(std::string("section:") + outcome);
+            if (hit && channel_)
+                pushChunk("cached", evidence.render(), span);
+        }
+        if (evidence.degraded) {
+            tc_.note("degraded", "true");
+            tc_.note("deadline_expired_in", "retrieve");
+        }
+    }
+
+    /** Wall time spent inside channel pushes so far. */
+    double blockedMs() const { return blocked_ms_; }
+
+    void
+    recordStream(EngineStatsRecorder &stats) const
+    {
+        stats.recordStream(first_event_ms_ < 0.0 ? 0.0 : first_event_ms_,
+                           events_, chunks_, deltas_);
+    }
+
+  private:
+    /** Count one section; add its span when traced (else id 0). */
+    std::uint32_t
+    sectionSpan(std::string name)
+    {
+        ++sections_;
+        if (!tc_)
+            return 0;
+        const std::uint64_t now = obs::RequestTrace::nowNs();
+        const std::uint32_t span =
+            tc_.trace->addSpan(tc_.parent, std::move(name), mark_, now);
+        mark_ = now;
+        return span;
+    }
+
+    void
+    pushChunk(std::string label, std::string text, std::uint32_t span)
+    {
+        StreamEvent event =
+            makeEvent(StreamEvent::Kind::EvidenceChunk, span);
+        event.label = std::move(label);
+        event.text = std::move(text);
+        push(std::move(event));
+    }
+
+    StreamChannel *channel_;
+    obs::TraceContext tc_;
+    std::uint64_t mark_ = 0;
+    std::uint64_t sections_ = 0;
+    Stopwatch clock_;
+    double first_event_ms_ = -1.0;
+    double blocked_ms_ = 0.0;
+    std::uint64_t events_ = 0;
+    std::uint64_t chunks_ = 0;
+    std::uint64_t deltas_ = 0;
+};
 
 std::shared_ptr<const retrieval::ContextBundle>
 CacheMind::retrieveStage(retrieval::Retriever &retriever,
                          const query::ParsedQuery &parsed,
                          const std::string &cache_key,
-                         const Deadline &deadline,
-                         const obs::TraceContext &tc) const
+                         PipelineSink &sink) const
 {
-    const std::uint64_t start_ns = tc ? obs::RequestTrace::nowNs() : 0;
-    std::uint64_t sections = 0;
-    // The deadline rides the sink (the retrievers' existing
-    // cancellation-poll sites double as degrade checks), so the
-    // blocking path runs the sink overload with an inactive sink —
-    // byte-identical output, zero chunk formatting. A traced request
-    // swaps in the active, text-discarding TraceEvidenceSink to get
-    // per-section spans; the bundle bytes are the same either way.
-    const auto compute =
-        [&]() -> std::shared_ptr<const retrieval::ContextBundle> {
-        if (!tc) {
-            retrieval::NullEvidenceSink sink;
-            sink.setDeadline(deadline);
-            return std::make_shared<const retrieval::ContextBundle>(
-                retriever.retrieveParsed(parsed, sink));
-        }
-        TraceEvidenceSink sink(tc);
-        sink.setDeadline(deadline);
-        auto bundle = std::make_shared<const retrieval::ContextBundle>(
+    // The deadline rides the sink: the retrievers' cancellation-poll
+    // sites double as degrade checks.
+    const auto compute = [&] {
+        return std::make_shared<const retrieval::ContextBundle>(
             retriever.retrieveParsed(parsed, sink));
-        sections += sink.sections();
-        return bundle;
     };
     if (cache_key.empty()) {
         auto evidence = compute();
-        traceRetrieveOutcome(tc, "bypass", sections, start_ns,
-                             evidence->degraded);
-        return evidence;
-    }
-    if (!deadline.finite()) {
-        retrieval::RetrievalCache::Outcome outcome;
-        auto evidence =
-            cache_->getOrCompute(cache_key, compute, &outcome);
-        stats_->recordCacheLookup(retriever.name(), outcome.hit,
-                                  outcome.evictions);
-        traceRetrieveOutcome(tc,
-                             retrieval::cacheSourceName(outcome.source),
-                             sections, start_ns, evidence->degraded);
-        return evidence;
-    }
-    // Finite deadline: stay outside the single-flight protocol. A
-    // deadline-capped retrieval may come back degraded, and a degraded
-    // bundle must neither be admitted nor handed to coalesced waiters
-    // (their budgets differ). peek never waits; publish drops degraded
-    // bundles on the floor.
-    retrieval::RetrievalCache::Outcome outcome;
-    if (auto cached = cache_->peek(cache_key, &outcome)) {
-        stats_->recordCacheLookup(retriever.name(), true, 0);
-        traceRetrieveOutcome(tc,
-                             retrieval::cacheSourceName(outcome.source),
-                             0, start_ns, cached->degraded);
-        return cached;
-    }
-    auto evidence = compute();
-    cache_->publish(cache_key, evidence, &outcome);
-    stats_->recordCacheLookup(retriever.name(), false,
-                              outcome.evictions);
-    traceRetrieveOutcome(tc, "miss", sections, start_ns,
-                         evidence->degraded);
-    return evidence;
-}
-
-std::shared_ptr<const retrieval::ContextBundle>
-CacheMind::retrieveStageStreamed(retrieval::Retriever &retriever,
-                                 const query::ParsedQuery &parsed,
-                                 const std::string &cache_key,
-                                 retrieval::EvidenceSink &sink,
-                                 const obs::TraceContext &tc) const
-{
-    // Streams deliberately stay outside the cache's single-flight
-    // protocol: a stream computing under the in-flight claim would
-    // push chunks into a consumer-paced channel, letting one paused
-    // consumer block every blocking ask() coalescing on the key
-    // (including through a cross-engine shared cache). Instead: peek
-    // (never waits), retrieve independently on a miss — chunks stream
-    // unthrottled by cache state — and publish the finished bundle.
-    // Two streams racing the same key may retrieve twice; the bundles
-    // are byte-identical, so the duplicated work is bounded waste,
-    // not a correctness risk.
-    if (cache_key.empty()) {
-        auto evidence = std::make_shared<const retrieval::ContextBundle>(
-            retriever.retrieveParsed(parsed, sink));
-        tc.note("cache", "bypass");
+        sink.finishRetrieve("bypass", *evidence, false);
         return evidence;
     }
     retrieval::RetrievalCache::Outcome outcome;
-    if (auto cached = cache_->peek(cache_key, &outcome)) {
-        stats_->recordCacheLookup(retriever.name(), true, 0);
-        tc.note("cache", retrieval::cacheSourceName(outcome.source));
-        // The retriever never ran, so the evidence streams as one
-        // pre-assembled chunk (a traced stream records it as the
-        // stage's single "section:cached" span).
-        if (sink.active())
-            sink.emit("cached", cached->render());
-        return cached;
+    std::shared_ptr<const retrieval::ContextBundle> evidence;
+    if (!sink.streaming() && !sink.deadline().finite()) {
+        evidence = cache_->getOrCompute(cache_key, compute, &outcome);
+    } else {
+        // Streams and deadline-capped runs stay outside the
+        // single-flight protocol. A stream computing under the
+        // in-flight claim would push chunks into a consumer-paced
+        // channel, letting one paused consumer block every blocking
+        // ask() coalescing on the key (including through a
+        // cross-engine shared cache). A deadline-capped retrieval may
+        // come back degraded, and a degraded bundle must neither be
+        // admitted nor handed to coalesced waiters (their budgets
+        // differ). peek never waits; publish drops degraded bundles.
+        // Two runs racing one key may retrieve twice; the bundles are
+        // byte-identical, so that is bounded waste, not a risk.
+        evidence = cache_->peek(cache_key, &outcome);
+        if (!evidence) {
+            evidence = compute();
+            cache_->publish(cache_key, evidence, &outcome);
+        }
     }
-    auto evidence = std::make_shared<const retrieval::ContextBundle>(
-        retriever.retrieveParsed(parsed, sink));
-    cache_->publish(cache_key, evidence, &outcome);
-    stats_->recordCacheLookup(retriever.name(), false,
+    stats_->recordCacheLookup(retriever.name(), outcome.hit,
                               outcome.evictions);
-    tc.note("cache", "miss");
+    sink.finishRetrieve(retrieval::cacheSourceName(outcome.source),
+                        *evidence, outcome.hit);
     return evidence;
 }
 
@@ -358,190 +382,91 @@ CacheMind::generateStage(
 }
 
 Response
-CacheMind::answerParsed(retrieval::Retriever &retriever,
-                        const query::ParsedQuery &parsed,
-                        const Deadline &deadline,
-                        const obs::TraceContext &tc) const
+CacheMind::runPipeline(retrieval::Retriever &retriever,
+                       const RequestContext &ctx,
+                       const query::ParsedQuery *upstream,
+                       const Deadline &deadline,
+                       StreamChannel *channel) const
 {
-    obs::SpanScope plan_span(tc, "plan");
+    Stopwatch timer;
+    PipelineSink sink(channel, deadline);
+    const obs::TraceContext tc{ctx.trace, ctx.trace_parent};
+    obs::SpanScope root(tc, "ask");
+    const obs::TraceContext rtc = tc.child(root.id());
+
+    // Stage 1: parse once, at the engine level. Every event carries
+    // the span of the stage that produced it, so a streaming consumer
+    // (the serve layer's TTFE attribution) can name the stage behind
+    // its first frame.
+    query::ParsedQuery own;
+    std::uint32_t parse_span = 0;
+    if (upstream) {
+        root.annotate("parse", "upstream");
+    } else {
+        obs::SpanScope span(rtc, "parse");
+        own = parser_->parse(ctx.question);
+        parse_span = span.id();
+    }
+    const query::ParsedQuery &parsed = upstream ? *upstream : own;
+    if (sink.streaming()) {
+        StreamEvent event =
+            makeEvent(StreamEvent::Kind::Parsed, parse_span);
+        event.parsed = parsed;
+        sink.push(std::move(event));
+    }
+
+    obs::SpanScope plan_span(rtc, "plan");
     const std::string cache_key = planStage(retriever, parsed);
     plan_span.annotate("cacheable", cache_key.empty() ? "no" : "yes");
     plan_span.end();
+    if (sink.streaming()) {
+        StreamEvent event =
+            makeEvent(StreamEvent::Kind::Planned, plan_span.id());
+        event.cache_key = cache_key;
+        sink.push(std::move(event));
+    }
+
     Stopwatch retrieve_timer;
-    obs::SpanScope retrieve_span(tc, "retrieve");
+    obs::SpanScope retrieve_span(rtc, "retrieve");
+    sink.traceSections(rtc.child(retrieve_span.id()));
     const auto evidence =
-        retrieveStage(retriever, parsed, cache_key, deadline,
-                      tc.child(retrieve_span.id()));
+        retrieveStage(retriever, parsed, cache_key, sink);
     retrieve_span.end();
-    obs::SpanScope generate_span(tc, "generate");
-    return generateStage(parsed, evidence,
-                         retrieve_timer.milliseconds());
-}
-
-namespace {
-
-/** EvidenceSink adapter over a callable (the streaming pipeline). */
-class FnEvidenceSink final : public retrieval::EvidenceSink
-{
-  public:
-    using Fn = std::function<void(const std::string &,
-                                  const std::string &)>;
-    FnEvidenceSink(Fn fn, const StreamChannel &channel)
-        : fn_(std::move(fn)), channel_(channel)
-    {
-    }
-
-    void
-    emit(const std::string &label, const std::string &text) override
-    {
-        fn_(label, text);
-    }
-
-    // The channel's consumer-side cancel is the pipeline's cooperative
-    // cancellation token: retrievers polling the sink between evidence
-    // sections observe a dropped AnswerStream / disconnected serving
-    // session and abandon the rest of the retrieval.
-    bool cancelled() const override { return channel_.cancelled(); }
-
-  private:
-    Fn fn_;
-    const StreamChannel &channel_;
-};
-
-} // namespace
-
-Response
-CacheMind::answerParsedStreamed(retrieval::Retriever &retriever,
-                                const query::ParsedQuery &parsed,
-                                std::size_t question_index,
-                                StreamChannel &channel,
-                                double *blocked_ms,
-                                const Deadline &deadline,
-                                const obs::TraceContext &tc,
-                                std::uint32_t parse_span) const
-{
-    // Per-stream instrumentation: when the first event left the
-    // pipeline (the latency a streaming consumer actually waits
-    // before anything appears) and how many events of each kind were
-    // emitted. Emission is counted even if the consumer has cancelled
-    // the channel — the pipeline's shape does not depend on whether
-    // anyone is still listening.
-    Stopwatch stream_timer;
-    double first_event_ms = -1.0;
-    double pushing_ms = 0.0;
-    std::uint64_t events = 0;
-    std::uint64_t evidence_chunks = 0;
-    std::uint64_t answer_deltas = 0;
-    const auto push = [&](StreamEvent event) {
-        event.question = question_index;
-        if (first_event_ms < 0.0)
-            first_event_ms = stream_timer.milliseconds();
-        ++events;
-        // Time spent in push is dominated by backpressure waits on a
-        // full buffer (consumer pacing); the callers subtract it from
-        // the recorded question latency.
-        Stopwatch push_timer;
-        const bool accepted = channel.push(std::move(event));
-        pushing_ms += push_timer.milliseconds();
-        // A refused push on a cancelled channel trips the cooperative
-        // cancellation token here as well as at the retriever's
-        // section boundaries, so generation (answer deltas) also stops
-        // streaming into a dead channel.
-        if (!accepted && channel.cancelled())
-            throw retrieval::StreamCancelled{};
-    };
-
-    // Stage 1 (parsing) ran at the engine entry point; surface it.
-    // Every event carries the span of the stage that produced it, so
-    // a streaming consumer (the serve layer's TTFE attribution) can
-    // name the stage behind its first frame.
-    StreamEvent parsed_event;
-    parsed_event.kind = StreamEvent::Kind::Parsed;
-    parsed_event.parsed = parsed;
-    parsed_event.span = parse_span;
-    push(std::move(parsed_event));
-
-    obs::SpanScope plan_span(tc, "plan");
-    const std::string cache_key = planStage(retriever, parsed);
-    plan_span.annotate("cacheable", cache_key.empty() ? "no" : "yes");
-    plan_span.end();
-    StreamEvent planned_event;
-    planned_event.kind = StreamEvent::Kind::Planned;
-    planned_event.cache_key = cache_key;
-    planned_event.span = plan_span.id();
-    push(std::move(planned_event));
-
-    obs::SpanScope retrieve_span(tc, "retrieve");
-    // Section spans are recorded where the emissions happen: on this
-    // pipeline thread, in plan order (Ranger's shard-parallel
-    // execution still emits in plan order), so the span tree's shape
-    // is byte-stable across exec_threads settings.
-    std::uint64_t section_mark =
-        tc ? obs::RequestTrace::nowNs() : 0;
-    FnEvidenceSink sink(
-        [&](const std::string &label, const std::string &text) {
-            StreamEvent event;
-            event.kind = StreamEvent::Kind::EvidenceChunk;
-            event.label = label;
-            event.text = text;
-            if (tc) {
-                const std::uint64_t now = obs::RequestTrace::nowNs();
-                event.span = tc.trace->addSpan(retrieve_span.id(),
-                                               "section:" + label,
-                                               section_mark, now);
-                section_mark = now;
-            }
-            ++evidence_chunks;
-            push(std::move(event));
-        },
-        channel);
-    sink.setDeadline(deadline);
-    Stopwatch retrieve_timer;
-    const auto evidence =
-        retrieveStageStreamed(retriever, parsed, cache_key, sink,
-                              tc.child(retrieve_span.id()));
     const double retrieval_ms = retrieve_timer.milliseconds();
-    if (evidence->degraded) {
-        tc.annotate(retrieve_span.id(), "degraded", "true");
-        tc.annotate(retrieve_span.id(), "deadline_expired_in",
-                    "retrieve");
-    }
-    retrieve_span.end();
 
-    obs::SpanScope generate_span(tc, "generate");
+    obs::SpanScope generate_span(rtc, "generate");
     const llm::DeltaFn on_delta = [&](const std::string &delta) {
-        StreamEvent event;
-        event.kind = StreamEvent::Kind::AnswerDelta;
+        StreamEvent event =
+            makeEvent(StreamEvent::Kind::AnswerDelta, generate_span.id());
         event.text = delta;
-        event.span = generate_span.id();
-        ++answer_deltas;
-        push(std::move(event));
+        sink.push(std::move(event));
     };
-    Response r =
-        generateStage(parsed, evidence, retrieval_ms, &on_delta);
+    Response r = generateStage(parsed, evidence, retrieval_ms,
+                               sink.streaming() ? &on_delta : nullptr);
     generate_span.end();
 
-    // Close the root "ask" span and stamp the outcome BEFORE the Done
-    // event goes on the wire: a consumer that has observed Done may
-    // immediately render the trace, and must never catch the root
-    // still open. Both operations are idempotent first-writer-wins,
-    // so the caller's own root.end()/finishTrace stay harmless.
-    if (tc) {
-        tc.trace->endSpan(tc.parent);
-        if (tc.trace->outcome().empty())
-            tc.trace->setOutcome(r.bundle.degraded ? "degraded"
-                                                   : "done");
+    // Close the root span and stamp the outcome before Done goes on
+    // the wire: a consumer that has observed Done may render the
+    // trace at once. First writer wins — the serve layer's terminal
+    // decision (deadline_exceeded, overloaded) may already have
+    // landed while the pipeline was finishing; never downgrade it.
+    root.end();
+    if (ctx.trace) {
+        if (ctx.trace->outcome().empty())
+            ctx.trace->setOutcome(r.bundle.degraded ? "degraded"
+                                                    : "done");
+        stats_->recordTrace(*ctx.trace);
     }
-    StreamEvent done_event;
-    done_event.kind = StreamEvent::Kind::Done;
-    done_event.response = std::make_shared<const Response>(r);
-    done_event.span = tc.parent;
-    push(std::move(done_event));
-
-    stats_->recordStream(first_event_ms < 0.0 ? 0.0 : first_event_ms,
-                         events, evidence_chunks, answer_deltas);
-    if (blocked_ms)
-        *blocked_ms = pushing_ms;
+    if (sink.streaming()) {
+        StreamEvent event = makeEvent(StreamEvent::Kind::Done, root.id());
+        event.response = std::make_shared<const Response>(r);
+        sink.push(std::move(event));
+        sink.recordStream(*stats_);
+    }
+    // Serving latency only: consumer pacing (blocked pushes) is not
+    // the engine's answering cost.
+    stats_->record(std::max(timer.milliseconds() - sink.blockedMs(), 0.0),
+                   retrieval::assessQuality(r.bundle));
     return r;
 }
 
@@ -560,20 +485,6 @@ CacheMind::warmup()
     });
 }
 
-void
-CacheMind::finishTrace(const std::shared_ptr<obs::RequestTrace> &trace,
-                       bool degraded) const
-{
-    if (!trace)
-        return;
-    // First writer wins: the serve layer's terminal decision
-    // (deadline_exceeded, overloaded) may already have landed while
-    // the pipeline was finishing — never downgrade it.
-    if (trace->outcome().empty())
-        trace->setOutcome(degraded ? "degraded" : "done");
-    stats_->recordTrace(*trace);
-}
-
 Result<Response, EngineError>
 CacheMind::ask(const RequestContext &ctx)
 {
@@ -581,35 +492,14 @@ CacheMind::ask(const RequestContext &ctx)
         return EngineError{EngineErrorCode::EmptyQuestion,
                            "question is empty"};
     }
-    Stopwatch timer;
-    obs::TraceContext tc{ctx.trace, ctx.trace_parent};
-    obs::SpanScope root(tc, "ask");
-    const obs::TraceContext rtc = tc.child(root.id());
-    query::ParsedQuery parsed;
-    {
-        obs::SpanScope parse_span(rtc, "parse");
-        parsed = parseStage(ctx.question);
-    }
-    Response r =
-        answerParsed(*retriever_, parsed,
-                     resolveDeadline(ctx.options.deadline_ms), rtc);
-    root.end();
-    finishTrace(ctx.trace, r.bundle.degraded);
-    stats_->record(timer.milliseconds(),
-                   retrieval::assessQuality(r.bundle));
-    return r;
+    return runPipeline(*retriever_, ctx, nullptr,
+                       resolveDeadline(ctx.deadline_ms), nullptr);
 }
 
 Result<Response, EngineError>
 CacheMind::ask(const std::string &question)
 {
     return ask(RequestContext(question));
-}
-
-Result<Response, EngineError>
-CacheMind::ask(const std::string &question, const AskOptions &ask_opts)
-{
-    return ask(RequestContext(question, ask_opts));
 }
 
 Result<Response, EngineError>
@@ -620,24 +510,8 @@ CacheMind::askParsed(const query::ParsedQuery &parsed,
         return EngineError{EngineErrorCode::EmptyQuestion,
                            "question is empty"};
     }
-    Stopwatch timer;
-    obs::TraceContext tc{ctx.trace, ctx.trace_parent};
-    obs::SpanScope root(tc, "ask");
-    root.annotate("parse", "upstream");
-    Response r = answerParsed(*retriever_, parsed,
-                              resolveDeadline(ctx.options.deadline_ms),
-                              tc.child(root.id()));
-    root.end();
-    finishTrace(ctx.trace, r.bundle.degraded);
-    stats_->record(timer.milliseconds(),
-                   retrieval::assessQuality(r.bundle));
-    return r;
-}
-
-Result<Response, EngineError>
-CacheMind::askParsed(const query::ParsedQuery &parsed)
-{
-    return askParsed(parsed, RequestContext{});
+    return runPipeline(*retriever_, ctx, &parsed,
+                       resolveDeadline(ctx.deadline_ms), nullptr);
 }
 
 void
@@ -684,96 +558,42 @@ CacheMind::askBatch(const std::vector<RequestContext> &requests)
         }
     }
 
-    // One request through the full traced pipeline (the per-request
-    // trace handle and deadline apply individually; tracing one
-    // request of a batch costs the others nothing).
-    const auto answer_one = [this](retrieval::Retriever &retriever,
-                                   const RequestContext &req) {
-        obs::TraceContext tc{req.trace, req.trace_parent};
-        obs::SpanScope root(tc, "ask");
-        const obs::TraceContext rtc = tc.child(root.id());
-        query::ParsedQuery parsed;
-        {
-            obs::SpanScope parse_span(rtc, "parse");
-            parsed = parseStage(req.question);
-        }
-        Response r = answerParsed(
-            retriever, parsed,
-            resolveDeadline(req.options.deadline_ms), rtc);
-        root.end();
-        finishTrace(req.trace, r.bundle.degraded);
-        return r;
-    };
-
-    std::vector<Response> responses(requests.size());
-    std::vector<double> latencies(requests.size(), 0.0);
+    // One claim loop per worker, each with its own retriever:
+    // retrievers are not required to be thread-safe, and every
+    // retrieval/generation draw is keyed by the question text alone,
+    // so the answers are byte-identical to a sequential ask() loop
+    // regardless of how questions land on workers. The cross-question
+    // cache is shared by all workers (identically configured
+    // retrievers assemble identical bundles for equal keys, so which
+    // worker populates an entry cannot change any answer), and a hot
+    // slot key retrieves once: concurrent misses coalesce onto the
+    // first in-flight retrieval. Worker 0 is the calling thread with
+    // the engine's primary retriever; the extra workers draw on the
+    // lazily built, batch-to-batch reusable pool.
     const std::size_t workers =
         std::min(std::max<std::size_t>(opts_.batch_workers, 1),
                  std::max<std::size_t>(requests.size(), 1));
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            Stopwatch timer;
-            responses[i] = answer_one(*retriever_, requests[i]);
-            latencies[i] = timer.milliseconds();
+    ensureBatchPool(workers);
+    std::vector<Response> responses(requests.size());
+    std::atomic<std::size_t> next{0};
+    parallelFor(workers, workers, [&](std::size_t w) {
+        retrieval::Retriever &retriever =
+            w == 0 ? *retriever_ : *batch_pool_->retrievers[w - 1];
+        try {
+            for (std::size_t i = next++; i < requests.size(); i = next++) {
+                const RequestContext &req = requests[i];
+                responses[i] =
+                    runPipeline(retriever, req, nullptr,
+                                resolveDeadline(req.deadline_ms), nullptr);
+            }
+        } catch (...) {
+            // Stop every worker's claims. parallelFor rethrows the
+            // first failure once all workers have returned — the
+            // exception a sequential ask() loop would have thrown.
+            next.store(requests.size());
+            throw;
         }
-    } else {
-        // One retriever per worker: retrievers are not required to be
-        // thread-safe, and every retrieval/generation draw is keyed
-        // by the question text alone, so the answers are
-        // byte-identical to a sequential ask() loop regardless of how
-        // questions land on workers. The cross-question cache is
-        // shared by all workers (identically configured retrievers
-        // assemble identical bundles for equal keys, so which worker
-        // populates an entry cannot change any answer), and a hot
-        // slot key retrieves once: concurrent misses coalesce onto
-        // the first in-flight retrieval. Worker 0 reuses the engine's
-        // primary retriever; the extra workers draw on the lazily
-        // built, batch-to-batch reusable pool.
-        ensureBatchPool(workers);
-        auto &extras = batch_pool_->retrievers;
-
-        std::atomic<std::size_t> next{0};
-        // Exception barrier: a throwing pipeline (custom retriever,
-        // bad_alloc) must propagate to the caller like a sequential
-        // ask() loop, not escape a thread body into std::terminate.
-        std::exception_ptr error;
-        std::mutex error_mu;
-        std::atomic<bool> failed{false};
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                retrieval::Retriever &worker_retriever =
-                    w == 0 ? *retriever_ : *extras[w - 1];
-                try {
-                    while (!failed.load(std::memory_order_relaxed)) {
-                        const std::size_t i = next.fetch_add(1);
-                        if (i >= requests.size())
-                            break;
-                        Stopwatch timer;
-                        responses[i] =
-                            answer_one(worker_retriever, requests[i]);
-                        latencies[i] = timer.milliseconds();
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mu);
-                    if (!error)
-                        error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                }
-            });
-        }
-        for (auto &t : pool)
-            t.join();
-        if (error)
-            std::rethrow_exception(error);
-    }
-
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        stats_->record(latencies[i],
-                       retrieval::assessQuality(responses[i].bundle));
-    }
+    });
     stats_->recordBatch();
     return responses;
 }
@@ -795,13 +615,6 @@ CacheMind::askStream(const std::string &question)
 }
 
 Result<AnswerStream, EngineError>
-CacheMind::askStream(const std::string &question,
-                     const AskOptions &ask_opts)
-{
-    return askStream(RequestContext(question, ask_opts));
-}
-
-Result<AnswerStream, EngineError>
 CacheMind::askStream(const RequestContext &ctx)
 {
     if (str::trim(ctx.question).empty()) {
@@ -810,58 +623,35 @@ CacheMind::askStream(const RequestContext &ctx)
     }
     // The pipeline runs as a job on the engine's persistent worker
     // pool — a warm thread parked on a condvar picks it up in the
-    // microsecond range, where the former per-call std::thread spawn
-    // paid thread-creation cost on every request. Lazy creation keeps
+    // microsecond range, where a per-call std::thread spawn would pay
+    // thread-creation cost on every request. Lazy creation keeps
     // blocking-only engines threadless.
     if (!stream_pool_)
         stream_pool_ = std::make_unique<WorkerPool>(opts_.build_threads);
     auto channel =
         std::make_shared<StreamChannel>(opts_.stream_buffer);
-    channel->setProducers(1);
     auto ticket = std::make_shared<StreamTicket>();
     // The budget clock starts at submission: queueing behind busy pool
     // workers spends the request's budget, exactly as a serving
     // front-end would account it.
-    const Deadline deadline = resolveDeadline(ctx.options.deadline_ms);
+    const Deadline deadline = resolveDeadline(ctx.deadline_ms);
     stream_pool_->submit([this, channel, ticket, ctx, deadline] {
-        // Warm every shard's postings index in parallel before the
-        // pipeline touches its shard, so the first evidence chunk
-        // never waits behind a serial lazy index build (no-op once
-        // warm). Then run the staged pipeline, pushing an event per
-        // stage boundary. The exception barrier hands any pipeline
-        // failure (throwing custom retriever, bad_alloc) to the
-        // consumer through the channel — escaping the job would take
-        // down the pool worker, where blocking ask() propagates.
+        // Exception barrier: WorkerPool jobs may not throw, so any
+        // pipeline failure (throwing custom retriever, bad_alloc, an
+        // injected fault) reaches the consumer through the channel,
+        // where blocking ask() would have propagated it.
         try {
-            // Failpoint for the pool-task path. WorkerPool jobs may
-            // not throw (workerLoop has no catch), so the site lives
-            // inside this job's own barrier: an injected fault
-            // surfaces to the consumer as a typed channel failure,
-            // exactly like a throwing retriever would.
+            // Failpoint for the pool-task path, inside this job's own
+            // barrier: an injected fault surfaces to the consumer as a
+            // typed channel failure, like a throwing retriever.
             fail::maybeThrow("core.worker_pool.task");
+            // Warm every shard's postings index in parallel before the
+            // pipeline touches its shard, so the first evidence chunk
+            // never waits behind a serial lazy index build (no-op once
+            // warm).
             warmup();
-            Stopwatch timer;
-            double blocked_ms = 0.0;
-            obs::TraceContext tc{ctx.trace, ctx.trace_parent};
-            obs::SpanScope root(tc, "ask");
-            const obs::TraceContext rtc = tc.child(root.id());
-            std::uint32_t parse_span_id = 0;
-            query::ParsedQuery parsed;
-            {
-                obs::SpanScope parse_span(rtc, "parse");
-                parsed = parseStage(ctx.question);
-                parse_span_id = parse_span.id();
-            }
-            Response r = answerParsedStreamed(
-                *retriever_, parsed, 0, *channel, &blocked_ms,
-                deadline, rtc, parse_span_id);
-            root.end();
-            finishTrace(ctx.trace, r.bundle.degraded);
-            // Serving latency only: consumer pacing (blocked pushes)
-            // is not the engine's answering cost.
-            stats_->record(std::max(timer.milliseconds() - blocked_ms,
-                                    0.0),
-                           retrieval::assessQuality(r.bundle));
+            runPipeline(*retriever_, ctx, nullptr, deadline,
+                        channel.get());
         } catch (const retrieval::StreamCancelled &) {
             // The consumer went away (AnswerStream::cancel, a dropped
             // serving connection): control flow, not failure. No
@@ -876,113 +666,11 @@ CacheMind::askStream(const RequestContext &ctx)
                 ctx.trace->setOutcome("error");
             channel->fail(std::current_exception());
         }
-        channel->producerDone();
+        channel->close();
         // Last action: release anyone waiting on the stream handle.
         ticket->arrive();
     });
     return AnswerStream(std::move(channel), std::move(ticket));
-}
-
-Result<std::vector<Response>, EngineError>
-CacheMind::askBatchStream(const std::vector<std::string> &questions,
-                          const StreamSink &sink)
-{
-    // Same pre-flight validation as askBatch: the concurrent section
-    // stays infallible, so error selection cannot depend on
-    // scheduling order.
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-        if (str::trim(questions[i]).empty()) {
-            return EngineError{EngineErrorCode::EmptyQuestion,
-                               "batch question #" + std::to_string(i) +
-                                   " is empty"};
-        }
-    }
-    warmup();
-
-    std::vector<Response> responses(questions.size());
-    std::vector<double> latencies(questions.size(), 0.0);
-    const std::size_t workers =
-        std::min(std::max<std::size_t>(opts_.batch_workers, 1),
-                 std::max<std::size_t>(questions.size(), 1));
-    if (workers > 1)
-        ensureBatchPool(workers);
-    auto &extras = batch_pool_->retrievers;
-
-    // The channel is the MPSC fan-in: every worker produces events,
-    // the calling thread is the single consumer, invoking the sink
-    // serially between launching the pool and joining it. Events of
-    // one question arrive in pipeline order because exactly one
-    // worker answers it and push preserves per-producer order.
-    StreamChannel channel(opts_.stream_buffer);
-    channel.setProducers(workers);
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            retrieval::Retriever &worker_retriever =
-                w == 0 ? *retriever_ : *extras[w - 1];
-            // Claim loop with a cancellation check: once the consumer
-            // cancels (throwing sink) or a sibling worker fails,
-            // workers finish only their in-flight question instead of
-            // answering the rest of the batch nobody will read. The
-            // exception barrier mirrors askStream's: a throwing
-            // pipeline fails the channel (rethrown by the caller
-            // after the join) rather than std::terminate-ing.
-            try {
-                while (!channel.cancelled() && !channel.error()) {
-                    const std::size_t i = next.fetch_add(1);
-                    if (i >= questions.size())
-                        break;
-                    Stopwatch timer;
-                    double blocked_ms = 0.0;
-                    responses[i] = answerParsedStreamed(
-                        worker_retriever, parseStage(questions[i]), i,
-                        channel, &blocked_ms, resolveDeadline(0.0));
-                    // Serving latency only (see askStream).
-                    latencies[i] = std::max(
-                        timer.milliseconds() - blocked_ms, 0.0);
-                }
-            } catch (const retrieval::StreamCancelled &) {
-                // Consumer-side cancel (throwing sink) tripped the
-                // cooperative token mid-question: quiet retirement,
-                // not a pipeline failure — failing the channel here
-                // would masquerade as an engine error after the join.
-                stats_->recordStreamCancelled();
-            } catch (...) {
-                channel.fail(std::current_exception());
-            }
-            channel.producerDone();
-        });
-    }
-
-    // Drain until the last producer closes the channel. A throwing
-    // sink cancels the stream (workers finish their in-flight
-    // question — pushes now drop, claims stop) and rethrows after
-    // the pool is joined.
-    try {
-        while (auto event = channel.pop())
-            sink(*event);
-    } catch (...) {
-        channel.cancel();
-        for (auto &t : pool)
-            t.join();
-        throw;
-    }
-    for (auto &t : pool)
-        t.join();
-    // A worker's pipeline failure surfaces here, after the pool is
-    // quiesced — the caller sees the same exception a blocking
-    // askBatch of these questions would have thrown.
-    if (auto error = channel.error())
-        std::rethrow_exception(error);
-
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-        stats_->record(latencies[i],
-                       retrieval::assessQuality(responses[i].bundle));
-    }
-    stats_->recordBatch();
-    return responses;
 }
 
 ChatSession::ChatSession(CacheMind &engine, llm::MemoryConfig memory_cfg)

@@ -2,17 +2,20 @@
  * @file
  * The CacheMind engine: the public v2 facade wiring a trace database,
  * a registry-constructed retriever, and a registry-constructed
- * generator backend into ask()/askBatch() calls, plus a ChatSession
- * that layers conversation memory on top (the assistive chat tool of
- * the paper's use-case transcripts).
+ * generator backend into ask()/askStream()/askBatch() calls, plus a
+ * ChatSession that layers conversation memory on top (the assistive
+ * chat tool of the paper's use-case transcripts).
  *
- * ask() runs an explicit staged pipeline — parse, plan, retrieve,
- * generate. Parsing happens exactly once per question at the engine
- * level; the plan stage derives a cache key from (retriever
- * fingerprint, shard key, slot key); the retrieve stage serves the
- * evidence bundle from a shared, thread-safe cross-question
- * RetrievalCache (single-flight: concurrent misses on a hot slice
- * coalesce onto one retrieval) before the generator answers from it.
+ * Every entry point runs one staged pipeline — parse, plan, retrieve,
+ * generate — so a question gets the same trace-grounded answer
+ * whether it is asked in chat, streamed, or graded in a batch. The
+ * question is parsed exactly once at the engine level; the plan stage
+ * derives a cache key from (retriever fingerprint, shard key, slot
+ * key); the retrieve stage serves the evidence bundle from a shared,
+ * thread-safe cross-question RetrievalCache before the generator
+ * answers from it. A streamed run pushes an event at every stage
+ * boundary into a StreamChannel; a blocking run is the same pipeline
+ * with no channel.
  *
  * Components are referenced by registry name (see
  * retrieval::RetrieverRegistry and llm::BackendRegistry): new
@@ -20,14 +23,13 @@
  * units, so this facade never changes when one is added.
  * Misconfiguration surfaces as typed Result errors instead of silent
  * defaults, and independent questions can be answered concurrently
- * through a small worker pool with deterministic answers and stable
- * output ordering.
+ * through askBatch with deterministic answers and stable output
+ * ordering.
  */
 
 #ifndef CACHEMIND_CORE_CACHEMIND_HH
 #define CACHEMIND_CORE_CACHEMIND_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -112,9 +114,9 @@ struct EngineOptions
     std::map<std::string, std::string> retriever_params;
     /**
      * Buffered events per streaming channel (>= 1): the backpressure
-     * bound between the askStream/askBatchStream pipeline workers and
-     * the consumer. Small values bound memory under a slow consumer;
-     * large values decouple bursty producers from it.
+     * bound between an askStream pipeline worker and its consumer.
+     * Small values bound memory under a slow consumer; large values
+     * decouple bursty producers from it.
      */
     std::size_t stream_buffer = 64;
     /**
@@ -131,8 +133,8 @@ struct EngineOptions
      * degrades — it returns the evidence gathered so far with
      * bundle.degraded set and the answer is generated from partial
      * evidence — instead of failing. Degraded bundles never enter the
-     * retrieval cache. Per-call AskOptions::deadline_ms overrides
-     * this. Questions with a finite deadline bypass the single-flight
+     * retrieval cache. RequestContext::deadline_ms overrides this
+     * per call. Questions with a finite deadline bypass the single-flight
      * miss coalescing (a degraded result must not be handed to
      * coalesced waiters), so leave this 0 unless requests carry real
      * latency budgets.
@@ -140,24 +142,11 @@ struct EngineOptions
     double default_deadline_ms = 0.0;
 };
 
-/** Per-call knobs for ask()/askStream(). */
-struct AskOptions
-{
-    /**
-     * Retrieval deadline for this question in milliseconds; 0 falls
-     * back to EngineOptions::default_deadline_ms (and if that is also
-     * 0, the question has no deadline).
-     */
-    double deadline_ms = 0.0;
-};
-
 /**
- * One request, as a single value: the question, its per-call knobs,
- * an optional correlation id, and an optional trace handle. This is
- * the unified argument accepted by ask/askParsed/askStream/askBatch
- * (and, over the wire, by the serve layer's handleAsk) — the older
- * positional `(question, ask_opts)` overloads are thin shims that
- * build one of these.
+ * One request, as a single value: the question, its deadline, an
+ * optional correlation id, and an optional trace handle. This is the
+ * argument accepted by ask/askParsed/askStream/askBatch (and, over
+ * the wire, by the serve layer's handleAsk).
  *
  * Tracing: traced() attaches a fresh obs::RequestTrace; the engine
  * then records a span per pipeline stage (parse, plan, retrieve with
@@ -168,7 +157,12 @@ struct AskOptions
 struct RequestContext
 {
     std::string question;
-    AskOptions options;
+    /**
+     * Retrieval deadline for this question in milliseconds; 0 falls
+     * back to EngineOptions::default_deadline_ms (and if that is also
+     * 0, the question has no deadline).
+     */
+    double deadline_ms = 0.0;
     /**
      * Caller-supplied correlation id ("" = none). The serve layer
      * echoes it on every frame of the request and keys the `trace`
@@ -182,15 +176,11 @@ struct RequestContext
 
     RequestContext() = default;
     explicit RequestContext(std::string q) : question(std::move(q)) {}
-    RequestContext(std::string q, AskOptions opts)
-        : question(std::move(q)), options(opts)
-    {
-    }
 
     RequestContext &
     withDeadlineMs(double ms)
     {
-        options.deadline_ms = ms;
+        deadline_ms = ms;
         return *this;
     }
 
@@ -274,17 +264,13 @@ class CacheMind
 
     /**
      * Answer one request, trace-grounded. The RequestContext carries
-     * the question, per-call knobs, and (optionally) a request id and
+     * the question, its deadline, and (optionally) a request id and
      * trace handle — see RequestContext.
      */
     Result<Response, EngineError> ask(const RequestContext &ctx);
 
-    /** Shim: ask one question with default knobs. */
+    /** ask() one question with default knobs. */
     Result<Response, EngineError> ask(const std::string &question);
-
-    /** Shim: ask() with per-call knobs (deadline). */
-    Result<Response, EngineError> ask(const std::string &question,
-                                      const AskOptions &ask_opts);
 
     /**
      * Answer an already-parsed question. This is the pipeline entry
@@ -292,35 +278,33 @@ class CacheMind
      * sharpens under-specified follow-ups at the slot level and hands
      * the result here, so the question is parsed exactly once. The
      * context's `question` field is ignored (the parsed query wins);
-     * its knobs, request id, and trace handle apply as in ask().
+     * its deadline, request id, and trace handle apply as in ask().
      */
     Result<Response, EngineError>
-    askParsed(const query::ParsedQuery &parsed, const RequestContext &ctx);
-
-    /** Shim: askParsed with default knobs. */
-    Result<Response, EngineError>
-    askParsed(const query::ParsedQuery &parsed);
+    askParsed(const query::ParsedQuery &parsed,
+              const RequestContext &ctx = {});
 
     /**
-     * Answer independent requests concurrently on the engine's
-     * worker pool. Answers are deterministic — byte-identical to a
+     * Answer independent requests concurrently, one claim loop per
+     * worker. Answers are deterministic — byte-identical to a
      * sequential ask() loop — and results preserve request order.
      * Each worker gets its own registry-constructed retriever, and
      * every generator draw is keyed by the question text alone, so
      * scheduling order cannot leak into any answer. Per-request
-     * deadlines and trace handles apply individually.
+     * deadlines and trace handles apply individually. A pipeline
+     * failure is rethrown once every worker has stopped.
      */
     Result<std::vector<Response>, EngineError>
     askBatch(const std::vector<RequestContext> &requests);
 
-    /** Shim: batch of plain questions with default knobs. */
+    /** askBatch() plain questions with default knobs. */
     Result<std::vector<Response>, EngineError>
     askBatch(const std::vector<std::string> &questions);
 
     /**
-     * Streaming ask: run the staged pipeline on a background thread
-     * and return a pull-style AnswerStream that yields an event as
-     * each stage completes — Parsed, Planned, one EvidenceChunk per
+     * Streaming ask: run the pipeline as a job on the engine's worker
+     * pool and return a pull-style AnswerStream that yields an event
+     * as each stage completes — Parsed, Planned, one EvidenceChunk per
      * section the retriever assembles, AnswerDelta fragments during
      * generation, and a terminal Done whose Response is byte-identical
      * to a blocking ask() of the same question. Streamed retrieval
@@ -336,38 +320,16 @@ class CacheMind
     Result<AnswerStream, EngineError>
     askStream(const RequestContext &ctx);
 
-    /** Shim: stream one question with default knobs. */
+    /** askStream() one question with default knobs. */
     Result<AnswerStream, EngineError>
     askStream(const std::string &question);
-
-    /** Shim: askStream() with per-call knobs (deadline). */
-    Result<AnswerStream, EngineError>
-    askStream(const std::string &question, const AskOptions &ask_opts);
-
-    /** Consumer callback for askBatchStream (called serially). */
-    using StreamSink = std::function<void(const StreamEvent &)>;
-
-    /**
-     * Streaming batch: answer independent questions concurrently on
-     * the worker pool while delivering every pipeline event to `sink`
-     * as it happens. Events carry their question index; events of one
-     * question arrive in pipeline order, events of different
-     * questions interleave. The sink runs on the calling thread only
-     * — no synchronization needed inside it. Returns the full
-     * response vector, byte-identical to askBatch (and therefore to a
-     * sequential ask() loop). If the sink throws, the stream is
-     * cancelled, workers are joined, and the exception is rethrown.
-     */
-    Result<std::vector<Response>, EngineError>
-    askBatchStream(const std::vector<std::string> &questions,
-                   const StreamSink &sink);
 
     /**
      * Pre-build every shard's postings index on the build_threads
      * pool (idempotent, thread-safe): a cold sweep's first questions
-     * otherwise pay the lazy per-shard builds serially. The streaming
-     * entry points call this once on first use; latency-sensitive
-     * blocking callers can invoke it explicitly after construction.
+     * otherwise pay the lazy per-shard builds serially. askStream
+     * calls this once on first use; latency-sensitive blocking
+     * callers can invoke it explicitly after construction.
      */
     void warmup();
 
@@ -403,14 +365,32 @@ class CacheMind
               std::unique_ptr<retrieval::Retriever> retriever,
               std::unique_ptr<llm::GeneratorLlm> generator);
 
-    // ------------------------------------------------ pipeline stages
+    /** A run's evidence sink and channel end (defined in the .cc). */
+    class PipelineSink;
+
+    // ------------------------------------------------------ pipeline
     //
-    // parse -> plan -> retrieve -> generate. Each stage is pure with
-    // respect to answer bytes: scheduling and cache state can change
+    // parse -> plan -> retrieve -> generate, behind every entry point.
+    // Each stage is pure with respect to answer bytes: scheduling,
+    // cache state and whether anyone reads the events can change
     // *when* evidence is assembled, never *what* is answered.
 
-    /** Stage 1: parse the question once, at the engine level. */
-    query::ParsedQuery parseStage(const std::string &question) const;
+    /**
+     * Run one request through every stage: the root "ask" span, parse
+     * (skipped when `upstream` is the caller's parsed query), plan,
+     * retrieve, generate, trace finish and stats recording. With a
+     * `channel`, every stage boundary, evidence section and answer
+     * delta is also pushed as a StreamEvent, and the time spent
+     * blocked in those pushes (consumer pacing) is left out of the
+     * recorded latency; without one this is the blocking form.
+     * Failures propagate to the caller, StreamCancelled included,
+     * and record no latency sample.
+     */
+    Response runPipeline(retrieval::Retriever &retriever,
+                         const RequestContext &ctx,
+                         const query::ParsedQuery *upstream,
+                         const Deadline &deadline,
+                         StreamChannel *channel) const;
 
     /**
      * Stage 2: derive the cross-question cache key for this
@@ -421,41 +401,19 @@ class CacheMind
 
     /**
      * Stage 3: produce the evidence bundle, through the shared cache
-     * when the plan allows (single-flight on concurrent misses).
-     * When `tc` is traced, its parent is the retrieve-stage span: one
-     * child span per evidence section plus a cache-tier outcome
-     * annotation (hot_hit / secondary_promote / miss /
-     * single_flight_wait / bypass) land there.
+     * when the plan allows. A blocking run with no deadline uses the
+     * cache's single-flight getOrCompute (concurrent misses on a hot
+     * slice coalesce onto one retrieval); streams and deadline-capped
+     * runs peek and publish instead. The sink carries the deadline,
+     * records section spans and the cache-tier outcome (hot_hit /
+     * secondary_promote / miss / single_flight_wait / bypass) when
+     * traced, and streams the evidence when a channel is attached.
      */
     std::shared_ptr<const retrieval::ContextBundle>
     retrieveStage(retrieval::Retriever &retriever,
                   const query::ParsedQuery &parsed,
                   const std::string &cache_key,
-                  const Deadline &deadline = Deadline(),
-                  const obs::TraceContext &tc = obs::TraceContext{}) const;
-
-    /**
-     * Stage 3, streaming form: evidence sections stream into `sink`
-     * as the retriever assembles them. Uses the cache's non-blocking
-     * peek/publish protocol instead of single-flight getOrCompute —
-     * a stream must never hold the in-flight claim while pushing
-     * into a consumer-paced channel (see retrieveStageStreamed's
-     * definition for the hostage scenario). Cache hits stream the
-     * cached bundle as one "cached" chunk.
-     */
-    std::shared_ptr<const retrieval::ContextBundle>
-    retrieveStageStreamed(retrieval::Retriever &retriever,
-                          const query::ParsedQuery &parsed,
-                          const std::string &cache_key,
-                          retrieval::EvidenceSink &sink,
-                          const obs::TraceContext &tc =
-                              obs::TraceContext{}) const;
-
-    /**
-     * Resolve the effective deadline for one call: per-call budget,
-     * else the engine default, else infinite.
-     */
-    Deadline resolveDeadline(double request_ms) const;
+                  PipelineSink &sink) const;
 
     /**
      * Stage 4: generate the answer from the evidence. The response
@@ -472,55 +430,19 @@ class CacheMind
                   const std::shared_ptr<const retrieval::ContextBundle>
                       &evidence,
                   double retrieval_ms,
-                  const llm::DeltaFn *on_delta = nullptr) const;
+                  const llm::DeltaFn *on_delta) const;
 
     /**
-     * Stages 2-4 for one parsed question (no latency recording).
-     * When `tc` is traced, plan/retrieve/generate spans nest under
-     * its parent.
+     * Resolve the effective deadline for one call: per-call budget,
+     * else the engine default, else infinite.
      */
-    Response answerParsed(retrieval::Retriever &retriever,
-                          const query::ParsedQuery &parsed,
-                          const Deadline &deadline = Deadline(),
-                          const obs::TraceContext &tc =
-                              obs::TraceContext{}) const;
-
-    /**
-     * Stages 2-4 for one parsed question with every stage boundary
-     * (and every mid-stage evidence chunk / answer delta) pushed into
-     * `channel` as StreamEvents tagged with `question_index`. Records
-     * per-stream statistics (time-to-first-event, event counts);
-     * overall question latency is recorded by the entry points.
-     * `blocked_ms` (when non-null) receives the wall time spent
-     * inside channel pushes — backpressure from a slow consumer —
-     * which the entry points subtract so EngineStats latency
-     * percentiles keep measuring serving work, not consumer pacing.
-     */
-    Response answerParsedStreamed(retrieval::Retriever &retriever,
-                                  const query::ParsedQuery &parsed,
-                                  std::size_t question_index,
-                                  StreamChannel &channel,
-                                  double *blocked_ms = nullptr,
-                                  const Deadline &deadline = Deadline(),
-                                  const obs::TraceContext &tc =
-                                      obs::TraceContext{},
-                                  std::uint32_t parse_span = 0) const;
-
-    /**
-     * Close out a traced request: set a default outcome ("done" /
-     * "degraded") unless a terminal decision already landed (first
-     * writer wins — the serve layer may have cut the request), and
-     * fold the stage latencies into EngineStats.trace.
-     */
-    void finishTrace(const std::shared_ptr<obs::RequestTrace> &trace,
-                     bool degraded) const;
+    Deadline resolveDeadline(double request_ms) const;
 
     struct BatchPool;
 
     /**
      * Grow the lazily built batch retriever pool to serve `workers`
-     * workers (worker 0 is the engine's primary retriever). Reused by
-     * askBatch and askBatchStream.
+     * workers (worker 0 is the engine's primary retriever).
      */
     void ensureBatchPool(std::size_t workers);
 

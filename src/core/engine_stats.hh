@@ -42,7 +42,7 @@ struct RetrievalCacheStats
     }
 };
 
-/** Streaming-pipeline counters (askStream / askBatchStream). */
+/** Streaming-pipeline counters (askStream). */
 struct StreamStats
 {
     /** Questions answered through a streaming entry point. */

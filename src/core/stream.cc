@@ -97,25 +97,6 @@ StreamChannel::tryPop()
 }
 
 void
-StreamChannel::setProducers(std::size_t n)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    producers_ = n;
-}
-
-void
-StreamChannel::producerDone()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    CM_ASSERT(producers_ > 0, "producerDone without setProducers");
-    if (--producers_ == 0) {
-        closed_ = true;
-        can_pop_.notify_all();
-        can_push_.notify_all();
-    }
-}
-
-void
 StreamChannel::close()
 {
     std::lock_guard<std::mutex> lock(mu_);

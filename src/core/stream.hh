@@ -57,8 +57,6 @@ struct StreamEvent
     };
 
     Kind kind = Kind::Parsed;
-    /** Index of the question within its batch (0 for askStream). */
-    std::size_t question = 0;
     /** Parsed: the slots as the engine-level parser understood them. */
     query::ParsedQuery parsed;
     /** Planned: the cross-question cache key ("" = not cacheable). */
@@ -84,18 +82,17 @@ struct StreamEvent
 const char *streamEventKindName(StreamEvent::Kind kind);
 
 /**
- * Bounded MPSC event channel: any number of pipeline workers push,
- * one consumer pops. push() applies backpressure (blocks while the
- * buffer is full) so a slow consumer bounds producer memory; pop()
- * blocks until an event, the channel closing, or cancellation.
+ * Bounded MPSC event channel: producers push, one consumer pops.
+ * push() applies backpressure (blocks while the buffer is full) so a
+ * slow consumer bounds producer memory; pop() blocks until an event,
+ * the channel closing, or cancellation.
  *
- * Producers are counted: setProducers(n) arms the channel, each
- * producer calls producerDone() exactly once, and the last one closes
- * the channel so the consumer's pop() drains to nullopt without any
- * out-of-band signal. cancel() is the consumer-side escape hatch (an
- * abandoned AnswerStream): buffered events are dropped and subsequent
- * pushes return false immediately, so producers never block on a
- * consumer that went away.
+ * The producer close()s the channel when it is finished, so the
+ * consumer's pop() drains to nullopt without any out-of-band signal.
+ * cancel() is the consumer-side escape hatch (an abandoned
+ * AnswerStream): buffered events are dropped and subsequent pushes
+ * return false immediately, so producers never block on a consumer
+ * that went away.
  */
 class StreamChannel
 {
@@ -127,21 +124,15 @@ class StreamChannel
     /** Consumer: non-blocking pop; nullopt when nothing is buffered. */
     std::optional<StreamEvent> tryPop();
 
-    /** Arm the producer count before any producer starts. */
-    void setProducers(std::size_t n);
-
-    /** One producer finished; the last close()s the channel. */
-    void producerDone();
-
     /** Producer side: no further events (pending pops drain). */
     void close();
 
     /**
      * Producer side: record a pipeline failure (first error wins).
      * Buffered events still drain; once the channel is exhausted the
-     * consumer observes the error through error() — AnswerStream and
-     * askBatchStream rethrow it, matching blocking ask(), instead of
-     * letting it escape a worker thread into std::terminate.
+     * consumer observes the error through error() — AnswerStream
+     * rethrows it, matching blocking ask(), instead of letting it
+     * escape a worker thread into std::terminate.
      */
     void fail(std::exception_ptr error);
 
@@ -164,7 +155,6 @@ class StreamChannel
     std::condition_variable can_push_;
     std::condition_variable can_pop_;
     std::deque<StreamEvent> buffer_;
-    std::size_t producers_ = 0;
     std::uint64_t pushed_ = 0;
     std::exception_ptr error_;
     bool closed_ = false;

@@ -20,11 +20,11 @@
  * (CACHEMIND_TRACE_DIR) are gated on one relaxed atomic load each.
  *
  * Determinism: span ids are allocated in begin order on the pipeline
- * thread, and Ranger's shard-parallel execution emits evidence in plan
- * order (see retrieval/ranger.cc) — so the *shape* of a span tree
- * (names, nesting, annotation keys/values) is byte-stable across
- * exec_threads settings; only the timings differ. trace_export's
- * toText(include_timing=false) renders exactly that stable shape.
+ * thread, and retrievers emit evidence in plan order — so the *shape*
+ * of a span tree (names, nesting, annotation keys/values) is the same
+ * for a blocking and a streamed ask of one question; only the timings
+ * differ. trace_export's toText(include_timing=false) renders exactly
+ * that stable shape.
  */
 
 #ifndef CACHEMIND_OBS_TRACE_HH

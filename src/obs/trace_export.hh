@@ -33,7 +33,7 @@ std::string toChromeJson(const RequestTrace &trace);
  *
  * With include_timing=false the duration column is omitted, leaving
  * only the deterministic shape (names, nesting, annotations) — the
- * form the byte-stability tests compare across exec_threads settings.
+ * form the tests compare between blocking and streamed asks.
  */
 std::string toText(const RequestTrace &trace, bool include_timing = true);
 

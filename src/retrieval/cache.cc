@@ -77,17 +77,13 @@ RetrievalCache::getOrCompute(const std::string &key,
     if (!enabled())
         return compute();
 
-    // Fast path: lock-free hot probe (plus secondary) before any
-    // single-flight bookkeeping.
-    std::uint64_t evicted = 0;
-    Outcome::Source source = Outcome::Source::None;
-    if (BundlePtr v = lookupTiers(key, &evicted, &source)) {
+    // Fast path: lock-free hot probe before any single-flight
+    // bookkeeping.
+    if (BundlePtr v = hot_.lookup(key)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        evictions_.fetch_add(evicted, std::memory_order_relaxed);
         if (outcome) {
             outcome->hit = true;
-            outcome->evictions = evicted;
-            outcome->source = source;
+            outcome->source = Outcome::Source::Hot;
         }
         return v;
     }
@@ -106,9 +102,11 @@ RetrievalCache::getOrCompute(const std::string &key,
         }
         return pending.get();
     }
-    // Re-probe under the flight lock: a flight that finished between
-    // the probe above and here admitted its bundle before erasing its
-    // table entry, so it is visible in the tiers now.
+    // Probe every tier under the flight lock. This path's moves
+    // between tiers and a landing flight's admission happen under it
+    // too, so none of them is caught in transit here (see flight_mu_).
+    std::uint64_t evicted = 0;
+    Outcome::Source source = Outcome::Source::None;
     if (BundlePtr v = lookupTiers(key, &evicted, &source)) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         evictions_.fetch_add(evicted, std::memory_order_relaxed);
@@ -143,11 +141,11 @@ RetrievalCache::getOrCompute(const std::string &key,
     // flight table must find the tiers already populated. Degraded
     // (deadline-truncated) bundles are returned to their caller but
     // never admitted — they would poison every later request.
-    evicted = (value && value->degraded) ? 0 : admit(key, value);
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
     lock.lock();
+    evicted = (value && value->degraded) ? 0 : admit(key, value);
     flights_.erase(key);
     lock.unlock();
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
     promise.set_value(value);
 
     if (outcome)

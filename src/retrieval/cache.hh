@@ -184,7 +184,7 @@ class RetrievalCache
     /**
      * Probe hot then secondary; a secondary hit re-promotes into the
      * hot tier. Entries evicted out of the cache by the promotion are
-     * added to *evictions.
+     * added to *evictions. getOrCompute calls it under flight_mu_.
      */
     BundlePtr lookupTiers(const std::string &key,
                           std::uint64_t *evictions,
@@ -194,7 +194,8 @@ class RetrievalCache
      * Admit `value` into the hot tier and demote its victims into the
      * secondary tier. Returns how many entries left the cache
      * entirely (secondary evictions/rejections, or hot victims with
-     * no secondary to land in).
+     * no secondary to land in). getOrCompute calls it under
+     * flight_mu_.
      */
     std::uint64_t admit(const std::string &key, BundlePtr value);
 
@@ -205,7 +206,14 @@ class RetrievalCache
      * Single-flight table: keys whose first computation is still
      * running. Entries are admitted to the hot tier *before* the
      * flight is erased, so a lookup that misses the table finds the
-     * tiers already populated.
+     * tiers already populated. getOrCompute also makes its moves
+     * between tiers (a secondary hit's promotion, the demotions its
+     * admission makes) under flight_mu_: an entry is briefly in
+     * neither tier while it moves, and the locked probe must not
+     * mistake that for a miss and compute a key twice. peek/publish
+     * move entries without the lock; a stream racing a move may
+     * retrieve again, the bounded duplicate work streams already
+     * accept by staying outside single flight.
      */
     std::mutex flight_mu_;
     std::unordered_map<std::string, std::shared_future<BundlePtr>>

@@ -3,12 +3,9 @@
 #include "retrieval/registry.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "base/failpoint.hh"
-#include "base/parallel.hh"
 #include "base/random.hh"
 #include "base/stopwatch.hh"
 #include "base/str.hh"
@@ -253,85 +250,34 @@ RangerRetriever::retrieveParsed(const ParsedQuery &parsed,
                       (progs.size() == 1 ? " program." : " programs."));
     }
     // Mis-generation draws stay keyed by the raw question text (the
-    // paper's per-question codegen roll), independent of scheduling.
+    // paper's per-question codegen roll) and the program index.
     const std::uint64_t qkey = hashCombine(fnv1a(q.raw), cfg_.seed);
     std::ostringstream code;
     std::ostringstream text;
     bool any_rows = false;
 
-    // Corrupt every program up front — each draw is keyed by
-    // (question, program index), never by execution order, so the
-    // parallel schedule below cannot change which programs run.
-    for (std::size_t pi = 0; pi < progs.size(); ++pi)
-        corrupt(progs[pi], hashCombine(qkey, pi));
-
-    // Execute: shard-parallel across the plan's programs (policy
-    // comparisons run one program per policy shard). Results land in
-    // plan order; the merge/stream loop below stays sequential, so
-    // `program` chunks are emitted in plan order and the bundle is
-    // byte-identical to sequential execution.
-    std::vector<query::DslResult> results(progs.size());
-    // Which programs actually ran: a blown deadline stops execution
-    // early, and the merge below must only fold completed programs
-    // into the (degraded) bundle. Each slot is written by exactly one
-    // worker and read after the join.
-    std::vector<unsigned char> done(progs.size(), 0);
-    const std::size_t hw = std::max<std::size_t>(
-        std::thread::hardware_concurrency(), 1);
-    const std::size_t workers = std::min(
-        progs.size(), cfg_.exec_threads ? cfg_.exec_threads : hw);
-    if (workers > 1) {
-        // Workers poll the sink's cancellation flag and deadline
-        // between programs (the sequential path's cadence); the throw
-        // itself happens on the caller thread after the join, so it
-        // never crosses the pool boundary.
-        std::atomic<bool> stop{false};
-        parallelFor(workers, workers, [&](std::size_t w) {
-            query::ExecScratch scratch;
-            for (std::size_t pi = w; pi < progs.size(); pi += workers) {
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                fail::maybeDelay("retrieve.section");
-                if (sink.cancelled() || sink.expired()) {
-                    stop.store(true, std::memory_order_relaxed);
-                    return;
-                }
-                results[pi] = interp_.run(progs[pi], scratch);
-                done[pi] = 1;
-            }
-        });
-        throwIfCancelled(sink);
-    } else {
-        query::ExecScratch scratch;
-        for (std::size_t pi = 0; pi < progs.size(); ++pi) {
-            // Cooperative cancellation between DSL programs: a
-            // dropped consumer aborts the rest of a multi-program
-            // plan before the next interpreter run; a blown deadline
-            // keeps the programs finished so far.
-            fail::maybeDelay("retrieve.section");
-            throwIfCancelled(sink);
-            if (deadlineDegrade(sink, bundle))
-                break;
-            results[pi] = interp_.run(progs[pi], scratch);
-            done[pi] = 1;
-        }
-    }
-
+    // Programs run in plan order on the calling thread (policy
+    // comparisons run one program per policy shard), and each result
+    // streams as one `program` chunk as soon as it is folded in.
+    query::ExecScratch scratch;
     for (std::size_t pi = 0; pi < progs.size(); ++pi) {
+        // Cooperative cancellation between DSL programs: a dropped
+        // consumer aborts the rest of a multi-program plan before the
+        // next interpreter run; a blown deadline keeps the programs
+        // finished so far.
+        fail::maybeDelay("retrieve.section");
         throwIfCancelled(sink);
-        if (!done[pi]) {
-            // Skipped by a deadline stop: fold only executed programs.
-            deadlineDegrade(sink, bundle);
-            continue;
-        }
+        if (deadlineDegrade(sink, bundle))
+            break;
         DslProgram &prog = progs[pi];
+        corrupt(prog, hashCombine(qkey, pi));
+        const query::DslResult res = interp_.run(prog, scratch);
         const std::string python = renderProgramAsPython(prog);
         code << python;
         // Per-program result segment: accumulated into the bundle's
         // result text and emitted as one streamed chunk, so a
         // multi-program plan surfaces each result in plan order.
         std::ostringstream seg;
-        const query::DslResult &res = results[pi];
         if (!res.ok) {
             seg << "[" << prog.trace_key << "] " << res.error << "\n";
             text << seg.str();
@@ -445,9 +391,7 @@ namespace {
 
 // Factory knobs (ROADMAP "engine-level scenario configs"): codegen
 // fidelity drives the Figure 5/6-style sweeps through the Builder.
-// Every knob consumed here is part of cacheFingerprint() except
-// exec_threads, which only schedules work (bundles are byte-identical
-// at any worker count).
+// Every knob consumed here is part of cacheFingerprint().
 const RetrieverRegistrar ranger_registrar(
     "ranger",
     [](const db::ShardSet &shards, const RetrieverOptions &opts) {
@@ -459,8 +403,6 @@ const RetrieverRegistrar ranger_registrar(
             opts.get("default_policy", cfg.default_policy);
         cfg.seed = opts.getSize("seed", cfg.seed);
         cfg.use_index = opts.getBool("use_index", cfg.use_index);
-        cfg.exec_threads =
-            opts.getSize("exec_threads", cfg.exec_threads);
         return std::make_unique<RangerRetriever>(shards, cfg);
     });
 

@@ -44,14 +44,6 @@ struct RangerConfig
      * scan-vs-index measurement; results are byte-identical.
      */
     bool use_index = true;
-    /**
-     * Worker cap for shard-parallel execution of multi-program plans
-     * (0 = hardware concurrency). Deliberately NOT part of
-     * cacheFingerprint(): results land in plan order and mis-
-     * generation draws are keyed by (question, program index), so
-     * scheduling never changes a byte of any bundle.
-     */
-    std::size_t exec_threads = 0;
 };
 
 /** The Ranger retriever (serves any shard view, full store or subset). */

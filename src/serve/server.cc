@@ -654,14 +654,13 @@ Server::Impl::handleAsk(int fd, const Request &req)
     const double deadline_ms = req.deadline_ms > 0.0
                                    ? req.deadline_ms
                                    : opts.default_deadline_ms;
-    core::AskOptions ask_opts;
-    ask_opts.deadline_ms = deadline_ms;
     const Deadline hard_cut =
         deadline_ms > 0.0
             ? Deadline::afterMs(deadline_ms + opts.deadline_slack_ms)
             : Deadline();
 
-    core::RequestContext ctx(req.question, ask_opts);
+    core::RequestContext ctx(req.question);
+    ctx.deadline_ms = deadline_ms;
     ctx.request_id = req.request_id;
     ctx.trace = trace;
     ctx.trace_parent = root;

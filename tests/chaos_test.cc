@@ -270,9 +270,8 @@ TEST(ChaosTest, EngineDeadlineDegradesAnswerAndSkipsCache)
     const auto q = suiteQuestions()[0];
 
     ASSERT_TRUE(fail::armSpec("retrieve.section=delay:60"));
-    AskOptions opts;
-    opts.deadline_ms = 20.0;
-    const auto degraded = engine.ask(q, opts).expect("degraded ask");
+    const auto degraded = engine.ask(RequestContext(q).withDeadlineMs(20.0))
+                              .expect("degraded ask");
     EXPECT_TRUE(degraded.bundle.degraded);
     EXPECT_FALSE(degraded.text.empty());
     EXPECT_GE(engine.stats().degraded_answers, 1u);
@@ -302,9 +301,8 @@ TEST(ChaosTest, DeadlineDegradationAcrossAllRetrievers)
                           .build()
                           .expect("engine");
         ASSERT_TRUE(fail::armSpec("retrieve.section=delay:60"));
-        AskOptions opts;
-        opts.deadline_ms = 20.0;
-        const auto r = engine.ask(q, opts).expect("degraded ask");
+        const auto r = engine.ask(RequestContext(q).withDeadlineMs(20.0))
+                           .expect("degraded ask");
         // Partial evidence, but still an answer — degradation is
         // graceful, not an error.
         EXPECT_TRUE(r.bundle.degraded);

@@ -2,9 +2,10 @@
  * @file
  * Tests for the observability subsystem (obs/): RequestTrace span
  * trees, the TraceStore ring buffer, the Chrome/text exporters, and
- * the engine's per-request tracing — span-tree completeness, shape
- * stability across exec_threads, byte-identical answers traced vs
- * untraced, and the EngineStats.trace aggregates.
+ * the engine's per-request tracing — span-tree completeness, one span
+ * tree for a blocking and a streamed ask of the same question,
+ * byte-identical answers traced vs untraced, and the EngineStats.trace
+ * aggregates.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/str.hh"
 #include "core/cachemind.hh"
 #include "db/builder.hh"
 #include "obs/trace.hh"
@@ -436,31 +438,49 @@ TEST(EngineTraceTest, AnswersByteIdenticalTracedVsUntraced)
     }
 }
 
-TEST(EngineTraceTest, SpanTreeShapeStableAcrossExecThreads)
+TEST(EngineTraceTest, BlockingAndStreamedAsksRecordOneSpanTree)
 {
-    // Ranger may execute shard-parallel; scheduling must change
-    // neither the answer bytes (retrieval_test proves that) nor the
-    // trace's *shape* — span names, nesting, annotations — because
-    // evidence is emitted in plan order regardless of exec_threads.
-    const auto traceFor = [&](const char *threads) {
-        auto engine = CacheMind::Builder(sharedDb())
-                          .withRetriever("ranger")
-                          .withRetrieverParam("exec_threads", threads)
-                          .build()
-                          .expect("ranger engine");
-        RequestContext ctx(hotQuestion());
-        ctx.withRequestId("req-shape").traced();
-        EXPECT_TRUE(engine.ask(ctx).ok());
-        return toText(*ctx.trace, /*include_timing=*/false);
+    // One pipeline behind both entry points: a traced ask() and a
+    // traced askStream() of the same question on twin engines record
+    // the same span tree — names, nesting, annotations — with the
+    // cache off, and with it on for a miss and then a hit.
+    const std::string pc =
+        str::hex(sharedDb().find("astar_evictions_lru")->table.pcAt(0));
+    const std::vector<std::string> questions = {
+        hotQuestion(),
+        "Why does Belady outperform LRU in the astar workload?",
+        "What is the miss rate for PC " + pc +
+            " in the astar workload with LRU?",
+        "What is a compulsory miss?",
     };
-    const std::string serial = traceFor("1");
-    const std::string parallel = traceFor("4");
-    EXPECT_EQ(serial, parallel);
-    // And the tree actually covers the pipeline (no vacuous match).
-    EXPECT_NE(serial.find("parse"), std::string::npos);
-    EXPECT_NE(serial.find("retrieve"), std::string::npos);
-    EXPECT_NE(serial.find("section:"), std::string::npos);
-    EXPECT_NE(serial.find("generate"), std::string::npos);
+    for (const char *retriever : {"sieve", "ranger", "llamaindex"}) {
+        for (const std::size_t capacity : {0, 1024}) {
+            const auto twin = [&] {
+                return CacheMind::Builder(sharedDb())
+                    .withRetriever(retriever)
+                    .withRetrievalCacheCapacity(capacity)
+                    .build()
+                    .expect("engine");
+            };
+            auto blocking = twin();
+            auto streaming = twin();
+            for (int round = 0; round < 2; ++round) {
+                for (const auto &question : questions) {
+                    SCOPED_TRACE(std::string(retriever) + " cache=" +
+                                 std::to_string(capacity) + " round=" +
+                                 std::to_string(round) + " " + question);
+                    RequestContext asked(question);
+                    asked.traced("req");
+                    ASSERT_TRUE(blocking.ask(asked).ok());
+                    RequestContext streamed(question);
+                    streamed.traced("req");
+                    streaming.askStream(streamed).expect("stream").wait();
+                    EXPECT_EQ(toText(*streamed.trace, false),
+                              toText(*asked.trace, false));
+                }
+            }
+        }
+    }
 }
 
 TEST(EngineTraceTest, StreamEventsCarryStageSpans)

@@ -1046,66 +1046,3 @@ TEST(IndexedRetrievalTest, RangerBundlesByteIdenticalToScanPath)
     }
     EXPECT_NE(indexed.cacheFingerprint(), scanner.cacheFingerprint());
 }
-
-TEST(IndexedRetrievalTest, RangerParallelPlansByteIdenticalToSequential)
-{
-    // Multi-program plans may execute shard-parallel; exec_threads is
-    // a pure scheduling knob, so bundles — and the streamed program
-    // chunks, which land in plan order — must be byte-identical to
-    // sequential execution and to the reference scan at any worker
-    // count.
-    RangerConfig par_cfg;
-    par_cfg.exec_threads = 4;
-    RangerConfig seq_cfg;
-    seq_cfg.exec_threads = 1;
-    RangerConfig scan_cfg;
-    scan_cfg.use_index = false;
-    scan_cfg.exec_threads = 4;
-    RangerRetriever parallel(sharedDb(), par_cfg);
-    RangerRetriever sequential(sharedDb(), seq_cfg);
-    RangerRetriever scanner(sharedDb(), scan_cfg);
-
-    /** Records every emitted (label, text) chunk in arrival order. */
-    struct CollectSink : EvidenceSink {
-        std::vector<std::pair<std::string, std::string>> chunks;
-        void emit(const std::string &label,
-                  const std::string &text) override
-        {
-            chunks.emplace_back(label, text);
-        }
-    };
-
-    const auto parser = sharedParser();
-    const auto known = knownAccess("mcf_evictions_lru");
-    const std::vector<std::string> questions = {
-        // The policy comparison is the multi-program plan (one
-        // program per policy) that actually fans out.
-        "Which policy has the lowest miss rate in the mcf workload?",
-        "Which policy has the highest miss rate in the mcf workload?",
-        "What is the miss rate for PC " + str::hex(known.pc) +
-            " in the mcf workload with LRU?",
-        "List all unique PCs in the mcf workload under LRU.",
-    };
-    for (const auto &q : questions) {
-        const auto parsed = parser.parse(q);
-        CollectSink par_sink, seq_sink;
-        const auto a = parallel.retrieveParsed(parsed, par_sink);
-        const auto b = sequential.retrieveParsed(parsed, seq_sink);
-        const auto c = scanner.retrieveParsed(parsed);
-        EXPECT_EQ(a.render(), b.render()) << q;
-        EXPECT_EQ(a.render(), c.render()) << q;
-        EXPECT_EQ(a.generated_code, b.generated_code) << q;
-        EXPECT_EQ(a.result_text, b.result_text) << q;
-        ASSERT_EQ(a.computed.has_value(), b.computed.has_value()) << q;
-        if (a.computed) {
-            EXPECT_EQ(*a.computed, *b.computed) << q; // bit-exact
-            ASSERT_TRUE(c.computed.has_value()) << q;
-            EXPECT_EQ(*a.computed, *c.computed) << q;
-        }
-        EXPECT_EQ(par_sink.chunks, seq_sink.chunks) << q;
-    }
-    // Scheduling never changes a byte, so exec_threads deliberately
-    // stays out of the cache fingerprint: both variants share cached
-    // bundles.
-    EXPECT_EQ(parallel.cacheFingerprint(), sequential.cacheFingerprint());
-}

@@ -3,15 +3,18 @@
  * Tests for the async streaming answer subsystem: the bounded MPSC
  * StreamChannel (ordering, backpressure, cancellation, and a
  * TSan-covered many-producer hammer), delta splitting, and the
- * askStream/askBatchStream pipeline — event ordering, byte-identity
- * of the terminal Done answer with blocking ask() across all three
- * retrievers with the retrieval cache on and off, evidence streaming
- * on cache hits, and the streaming statistics counters.
+ * askStream pipeline — event ordering, byte-identity of the terminal
+ * Done answer with blocking ask() across all three retrievers with
+ * the retrieval cache on and off, evidence streaming on cache hits, a
+ * paused stream never blocking a blocking ask() on the same cache
+ * key, and the streaming statistics counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -87,14 +90,13 @@ drain(AnswerStream &stream)
 TEST(StreamChannelTest, DeliversEventsInOrder)
 {
     StreamChannel channel(8);
-    channel.setProducers(1);
     for (std::size_t i = 0; i < 5; ++i) {
         StreamEvent event;
         event.kind = StreamEvent::Kind::AnswerDelta;
         event.text = std::to_string(i);
         ASSERT_TRUE(channel.push(std::move(event)));
     }
-    channel.producerDone();
+    channel.close();
     for (std::size_t i = 0; i < 5; ++i) {
         auto event = channel.pop();
         ASSERT_TRUE(event.has_value());
@@ -108,19 +110,18 @@ TEST(StreamChannelTest, BackpressureBoundsTheBufferAndLosesNothing)
 {
     constexpr std::size_t kEvents = 500;
     StreamChannel channel(2);
-    channel.setProducers(1);
     std::thread producer([&] {
         for (std::size_t i = 0; i < kEvents; ++i) {
             StreamEvent event;
             event.kind = StreamEvent::Kind::AnswerDelta;
-            event.question = i;
+            event.text = std::to_string(i);
             ASSERT_TRUE(channel.push(std::move(event)));
         }
-        channel.producerDone();
+        channel.close();
     });
     std::size_t received = 0;
     while (auto event = channel.pop()) {
-        EXPECT_EQ(event->question, received);
+        EXPECT_EQ(event->text, std::to_string(received));
         ++received;
     }
     producer.join();
@@ -131,35 +132,37 @@ TEST(StreamChannelTest, BackpressureBoundsTheBufferAndLosesNothing)
 TEST(StreamChannelTest, ManyProducerHammer)
 {
     // TSan-covered: N producers racing into a tiny buffer against one
-    // consumer — the askBatchStream topology at its most contended.
+    // consumer, closed once every producer has finished.
     constexpr std::size_t kProducers = 8;
     constexpr std::size_t kPerProducer = 200;
     StreamChannel channel(4);
-    channel.setProducers(kProducers);
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < kProducers; ++p) {
         producers.emplace_back([&, p] {
             for (std::size_t i = 0; i < kPerProducer; ++i) {
                 StreamEvent event;
                 event.kind = StreamEvent::Kind::EvidenceChunk;
-                event.question = p;
+                event.label = std::to_string(p);
                 event.text = std::to_string(i);
                 ASSERT_TRUE(channel.push(std::move(event)));
             }
-            channel.producerDone();
         });
     }
-    std::map<std::size_t, std::size_t> next_per_producer;
+    std::thread closer([&] {
+        for (auto &t : producers)
+            t.join();
+        channel.close();
+    });
+    std::map<std::string, std::size_t> next_per_producer;
     std::size_t received = 0;
     while (auto event = channel.pop()) {
         // Per-producer FIFO: each producer's events arrive in the
         // order it pushed them, whatever the interleaving.
         EXPECT_EQ(std::stoul(event->text),
-                  next_per_producer[event->question]++);
+                  next_per_producer[event->label]++);
         ++received;
     }
-    for (auto &t : producers)
-        t.join();
+    closer.join();
     EXPECT_EQ(received, kProducers * kPerProducer);
     EXPECT_TRUE(channel.closed());
 }
@@ -167,7 +170,6 @@ TEST(StreamChannelTest, ManyProducerHammer)
 TEST(StreamChannelTest, TryPopNeverBlocks)
 {
     StreamChannel channel(4);
-    channel.setProducers(1);
     EXPECT_FALSE(channel.tryPop().has_value());
     StreamEvent event;
     event.kind = StreamEvent::Kind::Planned;
@@ -177,7 +179,7 @@ TEST(StreamChannelTest, TryPopNeverBlocks)
     ASSERT_TRUE(popped.has_value());
     EXPECT_EQ(popped->cache_key, "k");
     EXPECT_FALSE(channel.tryPop().has_value());
-    channel.producerDone();
+    channel.close();
 }
 
 TEST(StreamChannelTest, ExplicitCloseDrainsThenRefusesPushes)
@@ -215,7 +217,6 @@ TEST(StreamChannelTest, KindNamesAreStable)
 TEST(StreamChannelTest, CancelUnblocksAndDropsProducers)
 {
     StreamChannel channel(1);
-    channel.setProducers(1);
     std::atomic<int> accepted{0};
     std::atomic<int> rejected{0};
     std::thread producer([&] {
@@ -226,7 +227,7 @@ TEST(StreamChannelTest, CancelUnblocksAndDropsProducers)
             else
                 ++rejected;
         }
-        channel.producerDone();
+        channel.close();
     });
     // Consume one event, then walk away: the producer must not block
     // on the full buffer forever.
@@ -470,77 +471,6 @@ TEST(AskStreamTest, WarmupPreBuildsEveryShardIndex)
               sharedDb().shards().size());
 }
 
-// ------------------------------------------------------------ batch stream
-
-TEST(AskBatchStreamTest, ResponsesMatchAskBatchAndEventsComplete)
-{
-    const auto questions = suiteQuestions();
-    auto reference = engineWith("sieve", 1024);
-    auto streaming = engineWith("sieve", 1024);
-
-    auto expected = reference.askBatch(questions);
-    ASSERT_TRUE(expected.ok());
-
-    struct PerQuestion
-    {
-        std::vector<StreamEvent::Kind> kinds;
-        std::string deltas;
-    };
-    std::map<std::size_t, PerQuestion> seen;
-    auto got = streaming.askBatchStream(
-        questions, [&](const StreamEvent &event) {
-            seen[event.question].kinds.push_back(event.kind);
-            if (event.kind == StreamEvent::Kind::AnswerDelta)
-                seen[event.question].deltas += event.text;
-        });
-    ASSERT_TRUE(got.ok());
-
-    ASSERT_EQ(got.value().size(), expected.value().size());
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-        EXPECT_EQ(got.value()[i].text, expected.value()[i].text) << i;
-        EXPECT_EQ(got.value()[i].bundle.render(),
-                  expected.value()[i].bundle.render());
-    }
-
-    ASSERT_EQ(seen.size(), questions.size());
-    for (std::size_t i = 0; i < questions.size(); ++i) {
-        const auto &kinds = seen[i].kinds;
-        ASSERT_GE(kinds.size(), 5u) << "question " << i;
-        EXPECT_EQ(kinds.front(), StreamEvent::Kind::Parsed);
-        EXPECT_EQ(kinds[1], StreamEvent::Kind::Planned);
-        EXPECT_EQ(kinds.back(), StreamEvent::Kind::Done);
-        EXPECT_EQ(seen[i].deltas, got.value()[i].text);
-    }
-}
-
-TEST(AskBatchStreamTest, RejectsEmptyQuestionBeforeStreaming)
-{
-    auto engine = engineWith("sieve", 0);
-    std::size_t events = 0;
-    auto result = engine.askBatchStream(
-        {"valid question", "  "},
-        [&](const StreamEvent &) { ++events; });
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code, EngineErrorCode::EmptyQuestion);
-    EXPECT_EQ(events, 0u);
-}
-
-TEST(AskBatchStreamTest, ThrowingSinkCancelsAndPropagates)
-{
-    auto engine = engineWith("sieve", 0);
-    const auto questions = suiteQuestions();
-    EXPECT_THROW(
-        engine.askBatchStream(questions,
-                              [](const StreamEvent &) {
-                                  throw std::runtime_error("sink");
-                              }),
-        std::runtime_error);
-    // The engine (and its worker pool) survives for the next call.
-    auto result = engine.askBatch(questions);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().size(), questions.size());
-}
-
 namespace {
 
 /** A custom retriever whose retrieval always throws (error paths). */
@@ -581,26 +511,25 @@ TEST(AskStreamTest, PipelineExceptionsPropagateLikeBlockingAsk)
 
     auto stream = engine.askStream("boom?").expect("stream");
     EXPECT_THROW(stream.wait(), std::runtime_error);
-
-    EXPECT_THROW(engine.askBatchStream({"a?", "b?", "c?"},
-                                       [](const StreamEvent &) {}),
-                 std::runtime_error);
 }
 
-TEST(AskBatchStreamTest, StreamingStatsAreRecorded)
+TEST(AskStreamTest, StreamingStatsAreRecorded)
 {
     auto engine = engineWith("sieve", 1024);
     const auto questions = suiteQuestions();
     std::uint64_t chunk_events = 0;
     std::uint64_t delta_events = 0;
-    auto result = engine.askBatchStream(
-        questions, [&](const StreamEvent &event) {
-            if (event.kind == StreamEvent::Kind::EvidenceChunk)
+    for (const auto &question : questions) {
+        // The handle's destructor waits for the pipeline job, so each
+        // stream's statistics are recorded before the next one starts.
+        auto stream = engine.askStream(question).expect("stream");
+        while (auto event = stream.next()) {
+            if (event->kind == StreamEvent::Kind::EvidenceChunk)
                 ++chunk_events;
-            if (event.kind == StreamEvent::Kind::AnswerDelta)
+            if (event->kind == StreamEvent::Kind::AnswerDelta)
                 ++delta_events;
-        });
-    ASSERT_TRUE(result.ok());
+        }
+    }
 
     const auto stats = engine.stats();
     EXPECT_EQ(stats.stream.streams, questions.size());
@@ -614,5 +543,41 @@ TEST(AskBatchStreamTest, StreamingStatsAreRecorded)
               stats.stream.first_event_p50_ms);
     // Streamed questions also count as served questions.
     EXPECT_EQ(stats.questions, questions.size());
-    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.batches, 0u);
+}
+
+TEST(AskStreamTest, PausedStreamNeverBlocksABlockingAskOnTheSameKey)
+{
+    // A stream must never hold the cache's in-flight claim while it
+    // pushes into a consumer-paced channel. With a two-event buffer,
+    // Parsed and Planned fill it and the first evidence push blocks
+    // mid-retrieval while nobody reads; a blocking ask() of the same
+    // question on an engine sharing the cache must still answer.
+    auto cache = std::make_shared<retrieval::RetrievalCache>(1024);
+    auto streaming = CacheMind::Builder(sharedDb())
+                         .withSharedRetrievalCache(cache)
+                         .withStreamBuffer(2)
+                         .build()
+                         .expect("streaming engine");
+    auto blocking = CacheMind::Builder(sharedDb())
+                        .withSharedRetrievalCache(cache)
+                        .build()
+                        .expect("blocking engine");
+    const auto question = suiteQuestions()[0];
+
+    auto stream = streaming.askStream(question).expect("paused stream");
+    // The stream has looked the key up once the cache counts a miss.
+    for (int i = 0; i < 10000 && cache->counters().misses == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(cache->counters().misses, 0u);
+
+    auto pending = std::async(std::launch::async,
+                              [&] { return blocking.ask(question); });
+    const bool answered = pending.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    // Drain the stream either way, so a failing run still finishes.
+    const Response streamed = stream.wait();
+    EXPECT_TRUE(answered) << "blocking ask() waited on a paused stream";
+    const Response blocked = pending.get().expect("blocking ask");
+    EXPECT_EQ(blocked.text, streamed.text);
 }
