@@ -37,8 +37,8 @@ main()
     // All five engines differ only in backend; retrieval is
     // backend-independent, so one shared cross-engine bundle cache
     // makes every backend after the first retrieve for free.
-    auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(1 << 14);
+    auto shared_cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{1 << 14});
 
     std::vector<benchsuite::EvalResult> results;
     for (const auto backend : llm::allBackends()) {

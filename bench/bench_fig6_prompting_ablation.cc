@@ -51,8 +51,8 @@ main()
     // one bundle cache: prompting changes generation, never
     // retrieval, so every engine after the first serves its evidence
     // from the shared cache.
-    auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(1 << 14);
+    auto shared_cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{1 << 14});
 
     std::printf("\n=== Prompting ablation (weighted total / trick "
                 "accuracy) ===\n");

@@ -20,15 +20,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
-
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
 #include "base/random.hh"
 #include "base/str.hh"
@@ -41,7 +38,6 @@
 #include "policy/basic_policies.hh"
 #include "query/dsl.hh"
 #include "retrieval/cache.hh"
-#include "retrieval/clock_cache.hh"
 #include "retrieval/ranger.hh"
 #include "retrieval/sieve.hh"
 #include "serve/client.hh"
@@ -687,135 +683,44 @@ BM_ServeRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_ServeRoundTrip)->Unit(benchmark::kMicrosecond);
 
-namespace {
-
-/**
- * The pre-tier hot path, reconstructed for comparison: a sharded-lock
- * LRU where every hit takes its shard's mutex to splice the recency
- * list to front. This is what the retrieval cache's fast path looked
- * like before the clock hot tier; BM_CacheHitConcurrent quantifies
- * what the lock-free hit protocol bought over it under serving-level
- * concurrency.
- */
-class ShardedLruCache
-{
-  public:
-    using BundlePtr = retrieval::RetrievalCache::BundlePtr;
-
-    ShardedLruCache(std::size_t capacity, std::size_t shards)
-    {
-        const std::size_t per = (capacity + shards - 1) / shards;
-        shards_.reserve(shards);
-        for (std::size_t i = 0; i < shards; ++i)
-            shards_.push_back(std::make_unique<Shard>(per));
-    }
-
-    BundlePtr
-    lookup(const std::string &key)
-    {
-        Shard &s = shardOf(key);
-        std::lock_guard<std::mutex> lock(s.mu);
-        auto it = s.map.find(key);
-        if (it == s.map.end())
-            return nullptr;
-        s.order.splice(s.order.begin(), s.order, it->second.order_it);
-        return it->second.value;
-    }
-
-    void
-    insert(const std::string &key, BundlePtr value)
-    {
-        Shard &s = shardOf(key);
-        std::lock_guard<std::mutex> lock(s.mu);
-        if (s.map.count(key) != 0)
-            return;
-        while (s.map.size() >= s.capacity && !s.order.empty()) {
-            s.map.erase(s.order.back());
-            s.order.pop_back();
-        }
-        s.order.push_front(key);
-        s.map.emplace(key, Entry{std::move(value), s.order.begin()});
-    }
-
-  private:
-    struct Entry
-    {
-        BundlePtr value;
-        std::list<std::string>::iterator order_it;
-    };
-    struct Shard
-    {
-        explicit Shard(std::size_t cap) : capacity(cap) {}
-        std::mutex mu;
-        std::size_t capacity;
-        std::list<std::string> order;
-        std::unordered_map<std::string, Entry> map;
-    };
-
-    Shard &
-    shardOf(const std::string &key)
-    {
-        return *shards_[fnv1a(key) % shards_.size()];
-    }
-
-    std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/** Both hit-path arms pre-populated with the same resident keys. */
-struct HitBenchFixture
-{
-    std::vector<std::string> keys;
-    ShardedLruCache lru{256, 8};
-    retrieval::ClockCacheTier clock{256};
-
-    HitBenchFixture()
-    {
-        for (int i = 0; i < 128; ++i) {
-            keys.push_back("bench-slot-key-" + std::to_string(i));
-            auto bundle =
-                std::make_shared<retrieval::ContextBundle>();
-            bundle->retriever = "bench";
-            bundle->trace_key = "mcf_evictions_lru";
-            bundle->result_text = keys.back();
-            lru.insert(keys.back(), bundle);
-            clock.insert(keys.back(), bundle);
-        }
-    }
-};
-
-} // namespace
-
 static void
 BM_CacheHitConcurrent(benchmark::State &state)
 {
-    // 16 threads hammer the hit path over the 4 hottest keys (the
-    // serving pattern: many sessions asking about the same trace
-    // slice): arg 0 is the pre-tier sharded-lock LRU, where every hit
-    // takes the hot shard's mutex to splice the recency list — the
-    // hottest keys serialize every session on one lock — and arg 1
-    // the clock hot tier, where a hit is an atomic pin on one slot
-    // word and readers never contend. The ratio between the two arms
-    // is the concurrency win the tier refactor is gated on.
+    // Threads hammer RetrievalCache::getOrCompute's hit path over 4
+    // resident keys (the serving pattern: many sessions asking about
+    // the same trace slice). Every hit takes the hot tier's one mutex
+    // to move its key to the front of the recency list, so the
+    // 4- and 16-thread arms time that lock passed between cores
+    // back to back with no other work in between.
     static constexpr std::size_t kHotKeys = 4;
-    static HitBenchFixture &fixture = *new HitBenchFixture;
-    const bool clock_arm = state.range(0) != 0;
-    std::size_t i =
-        static_cast<std::size_t>(state.thread_index()) * 29u;
-    if (clock_arm) {
-        for (auto _ : state)
-            benchmark::DoNotOptimize(
-                fixture.clock.lookup(fixture.keys[i++ % kHotKeys]));
-    } else {
-        for (auto _ : state)
-            benchmark::DoNotOptimize(
-                fixture.lru.lookup(fixture.keys[i++ % kHotKeys]));
-    }
+    static retrieval::RetrievalCache cache(
+        retrieval::RetrievalCache::Options{256});
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> k;
+        for (std::size_t i = 0; i < kHotKeys; ++i) {
+            k.push_back("bench-slot-key-" + std::to_string(i));
+            auto bundle = std::make_shared<retrieval::ContextBundle>();
+            bundle->retriever = "bench";
+            bundle->trace_key = "mcf_evictions_lru";
+            bundle->result_text = k.back();
+            cache.publish(k.back(), std::move(bundle));
+        }
+        return k;
+    }();
+    const retrieval::RetrievalCache::ComputeFn never =
+        []() -> retrieval::RetrievalCache::BundlePtr {
+        std::abort(); // every key is resident: a miss is a bench bug
+    };
+    std::size_t i = static_cast<std::size_t>(state.thread_index());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            cache.getOrCompute(keys[i++ % kHotKeys], never));
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CacheHitConcurrent)
-    ->Arg(0)  // sharded-lock LRU hit path (pre-tier)
-    ->Arg(1)  // clock hot tier lock-free hit path
+    ->Threads(1)
+    ->Threads(4)
     ->Threads(16)
     ->UseRealTime();
 

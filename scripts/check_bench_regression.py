@@ -38,7 +38,7 @@ TRACKED = [
     "BM_AskBatchRepeatedSlots/1",  # repeated slots, bundle cache on
     "BM_AskStreamFirstEvent/1",    # time to first streamed evidence
     "BM_ServeRoundTrip",           # line-protocol ask round trip
-    "BM_CacheHitConcurrent/1",     # clock hot tier 16-thread hit path
+    "BM_CacheHitConcurrent/real_time/threads:16",  # 16-thread hot hit path
     "BM_CacheDemotionChurn",       # secondary-tier codec round trip
 ]
 
@@ -152,13 +152,13 @@ def main():
                 f"{base_ns / 1e6:.3f} ms ({ratio:.2f}x > "
                 f"{args.threshold:g}x)")
 
-    print(f"{'benchmark':<34} {'baseline':>12} {'current':>12} "
+    print(f"{'benchmark':<44} {'baseline':>12} {'current':>12} "
           f"{'ratio':>7}  verdict")
     for prefix, base_ns, cur_ns, ratio, verdict in rows:
         base = f"{base_ns / 1e6:.3f}ms" if base_ns else "-"
         cur = f"{cur_ns / 1e6:.3f}ms" if cur_ns else "-"
         ratio_s = f"{ratio:.2f}x" if ratio is not None else "-"
-        print(f"{prefix:<34} {base:>12} {cur:>12} "
+        print(f"{prefix:<44} {base:>12} {cur:>12} "
               f"{ratio_s:>7}  {verdict}")
 
     if failures:

@@ -108,9 +108,7 @@ CacheMind::CacheMind(const db::TraceDatabase &db, db::ShardSet shards,
                         ? std::make_shared<retrieval::RetrievalCache>(
                               retrieval::RetrievalCache::Options{
                                   opts_.retrieval_cache_capacity,
-                                  opts_.retrieval_cache_hot_slots,
-                                  opts_
-                                      .retrieval_cache_secondary_bytes})
+                                  opts_.retrieval_cache_secondary_bytes})
                         : nullptr)),
       stats_(std::make_unique<EngineStatsRecorder>()),
       batch_pool_(std::make_unique<BatchPool>())

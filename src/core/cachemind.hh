@@ -80,19 +80,13 @@ struct EngineOptions
     std::size_t retrieval_cache_capacity = 1024;
     /**
      * Encoded-byte budget of the retrieval cache's compressed
-     * secondary tier (0 disables the tier). Bundles the hot clock
+     * secondary tier (0 disables the tier). Bundles the LRU hot
      * tier demotes are kept in binary-codec form instead of being
      * destroyed; a secondary hit decodes and re-promotes instead of
      * re-running retrieval. Byte-exact codec round trip: answers are
      * identical with the tier on or off.
      */
     std::size_t retrieval_cache_secondary_bytes = 0;
-    /**
-     * Hot-tier slot-table size (0 = derive from capacity). Rounded up
-     * to a power of two, at least 2x the capacity; raise it to thin
-     * probe windows for very hot skewed key sets.
-     */
-    std::size_t retrieval_cache_hot_slots = 0;
     /**
      * Externally owned retrieval cache shared *across engines*. When
      * set, it replaces the engine-private cache (the capacity knob is
@@ -536,14 +530,6 @@ class CacheMind::Builder
     withSecondaryCacheBytes(std::size_t bytes)
     {
         opts_.retrieval_cache_secondary_bytes = bytes;
-        return *this;
-    }
-
-    /** Hot-tier slot-table size (0 = derive from capacity). */
-    Builder &
-    withHotCacheSlots(std::size_t slots)
-    {
-        opts_.retrieval_cache_hot_slots = slots;
         return *this;
     }
 

@@ -148,7 +148,7 @@ struct EngineStats
     std::map<std::string, RetrievalCacheStats> cache_by_retriever;
 
     /**
-     * Per-tier retrieval-cache stats (hot clock tier, compressed
+     * Per-tier retrieval-cache stats (LRU hot tier, compressed
      * secondary tier, promotion/demotion traffic). Filled by
      * CacheMind::stats() straight from the cache, not the recorder —
      * a shared cache reports the same tier numbers through every

@@ -44,6 +44,13 @@ WorkerPool::threadsStarted() const
     return workers_.size();
 }
 
+std::size_t
+WorkerPool::idleWorkers() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return idle_;
+}
+
 void
 WorkerPool::workerLoop()
 {

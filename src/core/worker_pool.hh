@@ -57,6 +57,9 @@ class WorkerPool
     /** Workers started so far (grows lazily toward the cap). */
     std::size_t threadsStarted() const;
 
+    /** Workers parked waiting for a job right now. */
+    std::size_t idleWorkers() const;
+
   private:
     void workerLoop();
 

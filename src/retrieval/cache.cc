@@ -6,20 +6,13 @@
 namespace cachemind::retrieval {
 
 RetrievalCache::RetrievalCache(const Options &options)
-    : hot_(options.capacity, options.hot_slots),
+    : hot_(options.capacity),
       secondary_(options.capacity > 0 &&
                          options.secondary_capacity_bytes > 0
                      ? std::make_unique<SecondaryTier>(
                            options.secondary_capacity_bytes)
                      : nullptr)
 {
-}
-
-RetrievalCache::RetrievalCache(std::size_t capacity,
-                               std::size_t lock_shards)
-    : RetrievalCache(Options{capacity, 0, 0})
-{
-    (void)lock_shards;
 }
 
 std::uint64_t
@@ -60,7 +53,7 @@ RetrievalCache::lookupTiers(const std::string &key,
     if (!v)
         return nullptr;
     // Exclusive tiers: the secondary released its copy; re-promote it
-    // so the next lookup is a lock-free hot hit.
+    // so the next lookup is a hot hit.
     promotions_.fetch_add(1, std::memory_order_relaxed);
     *evictions += admit(key, v);
     if (source)
@@ -77,7 +70,7 @@ RetrievalCache::getOrCompute(const std::string &key,
     if (!enabled())
         return compute();
 
-    // Fast path: lock-free hot probe before any single-flight
+    // Fast path: probe the hot tier before any single-flight
     // bookkeeping.
     if (BundlePtr v = hot_.lookup(key)) {
         hits_.fetch_add(1, std::memory_order_relaxed);

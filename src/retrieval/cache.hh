@@ -1,22 +1,20 @@
 /**
  * @file
- * The shared cross-question retrieval cache, now a tier orchestrator:
- * a lock-free-read clock hot tier (clock_cache.hh) over an optional
- * compressed secondary tier (secondary_tier.hh), behind the same
- * public surface the sharded-lock LRU had — getOrCompute single
- * flight, non-blocking peek/publish — so retrievers, askStream, and
- * the serve engine pool need no call-site changes.
+ * The shared cross-question retrieval cache, a tier orchestrator: an
+ * LRU hot tier (hot_tier.hh) over an optional compressed secondary
+ * tier (secondary_tier.hh), behind getOrCompute single flight and
+ * non-blocking peek/publish.
  *
  * Many users asking overlapping questions about the same (workload,
  * policy) trace slice assemble byte-identical context bundles; the
  * engine memoizes them here so only the first question per slice pays
- * the retrieval cost. A hot-tier hit is lock-free. A hot-tier miss
- * consults the secondary tier, which stores bundles the hot tier
- * demoted in compressed (binary-codec) form: a secondary hit decodes
- * and re-promotes instead of re-running retrieval. Lookups are
- * *single-flight*: when a hot key misses while another worker is
- * already assembling its bundle, the late arrivals wait on the
- * in-flight computation instead of re-running retrieval — the
+ * the retrieval cost. A hot-tier miss consults the secondary tier,
+ * which stores bundles the hot tier demoted in compressed
+ * (binary-codec) form: a secondary hit decodes and re-promotes
+ * instead of re-running retrieval. Lookups are *single-flight*: when
+ * a hot key misses while another worker is already assembling its
+ * bundle, the late arrivals wait on the in-flight computation
+ * instead of re-running retrieval — the
  * evidence-reuse idea ReasonCache applies to shared KV prefixes,
  * applied to trace-grounded context bundles.
  *
@@ -39,8 +37,8 @@
 #include <unordered_map>
 
 #include "retrieval/cache_tier.hh"
-#include "retrieval/clock_cache.hh"
 #include "retrieval/context.hh"
+#include "retrieval/hot_tier.hh"
 #include "retrieval/secondary_tier.hh"
 
 namespace cachemind::retrieval {
@@ -61,8 +59,6 @@ class RetrievalCache
          * computes).
          */
         std::size_t capacity = 1024;
-        /** Hot-tier slot-table size (0 = derive from capacity). */
-        std::size_t hot_slots = 0;
         /**
          * Secondary-tier encoded-byte budget (0 disables the tier:
          * bundles the hot tier demotes are destroyed, the pre-tier
@@ -78,7 +74,7 @@ class RetrievalCache
         enum class Source {
             /** Not served from cache: the caller computed. */
             None,
-            /** Lock-free hot-tier hit. */
+            /** Hot-tier hit. */
             Hot,
             /** Secondary-tier hit, decoded and re-promoted. */
             Secondary,
@@ -115,15 +111,6 @@ class RetrievalCache
     };
 
     explicit RetrievalCache(const Options &options);
-
-    /**
-     * Legacy constructor. `lock_shards` is accepted for source
-     * compatibility with the sharded-lock LRU this replaced and
-     * ignored: the clock hot tier has no shards (reads are lock-free)
-     * and its capacity is exact, with no per-shard round-up slack.
-     */
-    explicit RetrievalCache(std::size_t capacity,
-                            std::size_t lock_shards = 8);
 
     RetrievalCache(const RetrievalCache &) = delete;
     RetrievalCache &operator=(const RetrievalCache &) = delete;
@@ -162,7 +149,7 @@ class RetrievalCache
                  Outcome *outcome = nullptr);
 
     bool enabled() const { return hot_.capacity() > 0; }
-    /** Hot-tier entry budget (the legacy `capacity` knob). */
+    /** Hot-tier entry budget. */
     std::size_t capacity() const { return hot_.capacity(); }
     std::size_t secondaryCapacityBytes() const
     {
@@ -179,8 +166,6 @@ class RetrievalCache
     TieredCounters tiered() const;
 
   private:
-    using Displaced = CacheTier::Displaced;
-
     /**
      * Probe hot then secondary; a secondary hit re-promotes into the
      * hot tier. Entries evicted out of the cache by the promotion are
@@ -199,7 +184,7 @@ class RetrievalCache
      */
     std::uint64_t admit(const std::string &key, BundlePtr value);
 
-    ClockCacheTier hot_;
+    HotTier hot_;
     std::unique_ptr<SecondaryTier> secondary_;
 
     /**

@@ -1,15 +1,11 @@
 /**
  * @file
- * The tier seam of the retrieval cache: one small interface every
- * storage tier implements, so the RetrievalCache orchestrator can
- * compose a lock-free-read hot tier (clock_cache.hh) over a
- * compressed secondary tier (secondary_tier.hh) — and future tiers
- * (disk, remote) can slot in underneath without touching the
- * orchestrator's single-flight / peek / publish protocol.
+ * The types the retrieval cache's two tiers share: the LRU hot tier
+ * (hot_tier.hh) and the compressed secondary tier (secondary_tier.hh).
  *
  * A tier is a bounded key -> bundle store with its own admission and
  * eviction policy. Tiers do not know about each other: demotion is
- * the orchestrator's job, driven by the entries a higher tier
+ * the RetrievalCache's job, driven by the entries the hot tier
  * displaces on insert.
  */
 
@@ -19,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "retrieval/context.hh"
 
@@ -73,61 +68,19 @@ struct TierStats
     }
 };
 
+/** A context bundle as the tiers hold it: immutable and shared. */
+using BundlePtr = std::shared_ptr<const ContextBundle>;
+
 /**
- * One storage tier of the retrieval cache.
- *
- * Thread-safety contract: lookup() may be called concurrently with
- * anything; insert() may be called concurrently with lookup() and
- * with other insert() calls. Implementations choose their own
- * synchronization (the clock tier's lookup is lock-free; the
- * secondary tier takes a short mutex — it is never on the hit path
- * of a hot-tier hit).
+ * An entry displaced out of a tier by its insert(). A non-null value
+ * may be re-admitted into a lower tier (demotion); a null value
+ * records an entry that is gone for good (the tier only held an
+ * encoded form and dropped it, or refused the offered entry).
  */
-class CacheTier
+struct Displaced
 {
-  public:
-    using BundlePtr = std::shared_ptr<const ContextBundle>;
-
-    /**
-     * An entry displaced out of a tier by insert(). A non-null value
-     * may be re-admitted into a lower tier (demotion); a null value
-     * records an entry that is gone for good (the tier only held an
-     * encoded form and dropped it, or refused the offered entry).
-     */
-    struct Displaced
-    {
-        std::string key;
-        BundlePtr value;
-    };
-
-    virtual ~CacheTier() = default;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Return the bundle for `key`, nullptr on miss. Tiers that store
-     * an exclusive copy (the compressed secondary tier) remove the
-     * entry on hit — the caller re-admits it above, so one tier holds
-     * each resident key at a time.
-     */
-    virtual BundlePtr lookup(const std::string &key) = 0;
-
-    /**
-     * Admit `value` under `key`, first copy wins: when the key is
-     * already resident the offered value is dropped and nothing is
-     * displaced. Returns every entry that is *not* resident in this
-     * tier after the call — victims displaced to make room, or the
-     * offered entry itself when the tier refused it — so the caller
-     * can demote them (or count them gone).
-     */
-    virtual std::vector<Displaced> insert(const std::string &key,
-                                          BundlePtr value) = 0;
-
-    /** Resident entries (approximate under concurrency). */
-    virtual std::size_t entries() const = 0;
-
-    /** Lifetime counters + occupancy snapshot. */
-    virtual TierStats stats() const = 0;
+    std::string key;
+    BundlePtr value;
 };
 
 } // namespace cachemind::retrieval

@@ -12,7 +12,7 @@ SecondaryTier::SecondaryTier(std::size_t capacity_bytes)
 {
 }
 
-SecondaryTier::BundlePtr
+BundlePtr
 SecondaryTier::lookup(const std::string &key)
 {
     std::string encoded;
@@ -48,7 +48,7 @@ SecondaryTier::lookup(const std::string &key)
     return std::make_shared<const ContextBundle>(*std::move(bundle));
 }
 
-std::vector<SecondaryTier::Displaced>
+std::vector<Displaced>
 SecondaryTier::insert(const std::string &key, BundlePtr value)
 {
     std::vector<Displaced> out;

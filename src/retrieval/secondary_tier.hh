@@ -2,7 +2,7 @@
  * @file
  * The compressed secondary tier of the retrieval cache.
  *
- * Bundles demoted out of the hot clock tier land here in the binary
+ * Bundles demoted out of the LRU hot tier land here in the binary
  * codec form (bundle_codec.hh) instead of being destroyed: a
  * long-tail question distribution mostly re-hits memory, and decoding
  * a stored bundle is orders of magnitude cheaper than re-running
@@ -18,35 +18,41 @@
 #ifndef CACHEMIND_RETRIEVAL_SECONDARY_TIER_HH
 #define CACHEMIND_RETRIEVAL_SECONDARY_TIER_HH
 
+#include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "retrieval/cache_tier.hh"
 
 namespace cachemind::retrieval {
 
 /** Byte-budgeted store of codec-encoded demoted bundles. */
-class SecondaryTier final : public CacheTier
+class SecondaryTier
 {
   public:
     /** @param capacity_bytes Encoded-payload budget (exact). */
     explicit SecondaryTier(std::size_t capacity_bytes);
 
-    const char *name() const override { return "secondary-compressed"; }
-
     /** Decode + remove on hit (caller re-promotes the bundle). */
-    BundlePtr lookup(const std::string &key) override;
+    BundlePtr lookup(const std::string &key);
 
+    /**
+     * Admit the encoded form of `value`, first copy wins. Returns the
+     * oldest entries evicted to make room (null values: only their
+     * encoded form existed), or the offered entry itself when it
+     * alone exceeds the byte budget.
+     */
     std::vector<Displaced> insert(const std::string &key,
-                                  BundlePtr value) override;
+                                  BundlePtr value);
 
-    std::size_t entries() const override;
+    std::size_t entries() const;
     std::size_t bytes() const;
     std::size_t capacityBytes() const { return capacity_bytes_; }
 
-    TierStats stats() const override;
+    TierStats stats() const;
 
   private:
     struct Entry

@@ -207,7 +207,6 @@ struct Server::Impl
                   ? std::make_shared<retrieval::RetrievalCache>(
                         retrieval::RetrievalCache::Options{
                             opts.retrieval_cache_capacity,
-                            opts.retrieval_cache_hot_slots,
                             opts.retrieval_cache_secondary_bytes})
                   : nullptr)
     {

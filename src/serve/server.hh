@@ -80,8 +80,6 @@ struct ServeOptions
      * re-promote.
      */
     std::size_t retrieval_cache_secondary_bytes = 16u << 20;
-    /** Hot-tier slot-table size (0 = derive from capacity). */
-    std::size_t retrieval_cache_hot_slots = 0;
     /**
      * SO_SNDBUF for accepted sockets (0 = kernel default). Tests
      * shrink it so a deliberately slow client exercises channel

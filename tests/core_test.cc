@@ -614,8 +614,8 @@ TEST(EngineTest, SharedRetrievalCacheIsReusedAcrossEngines)
     // The multi-backend sweep pattern: engines differing only in
     // backend share one externally owned bundle cache, so the second
     // engine's retrieval is served from the first engine's work.
-    auto shared_cache =
-        std::make_shared<retrieval::RetrievalCache>(256);
+    auto shared_cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{256});
     const auto questions = suiteQuestions();
 
     auto first = CacheMind::Builder(sharedDb())

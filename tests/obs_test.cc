@@ -397,7 +397,7 @@ TEST(EngineTraceTest, TracedAskProducesCompleteSpanTree)
     EXPECT_GE(sections, 1u);
     EXPECT_EQ(ctx.trace->outcome(), "done");
 
-    // Same question again: a lock-free hot hit, named as such.
+    // Same question again: a hot hit, named as such.
     RequestContext again(hotQuestion());
     again.withRequestId("req-tree-2").traced();
     ASSERT_TRUE(engine.ask(again).ok());

@@ -4,7 +4,7 @@
  * checks, and evidence windows; Ranger's planning, execution, and
  * exact counting; the LlamaIndex baseline's characteristic failure;
  * cross-retriever properties (parameterized); and the tiered
- * cross-question RetrievalCache (clock second-chance semantics, exact
+ * cross-question RetrievalCache (LRU hot-tier eviction order, exact
  * capacity, secondary-tier demotion/promotion, codec round trips,
  * single-flight under a multi-thread hammer, cache-key discipline).
  */
@@ -26,7 +26,7 @@
 #include "query/parser.hh"
 #include "retrieval/bundle_codec.hh"
 #include "retrieval/cache.hh"
-#include "retrieval/clock_cache.hh"
+#include "retrieval/hot_tier.hh"
 #include "retrieval/llamaindex.hh"
 #include "retrieval/ranger.hh"
 #include "retrieval/secondary_tier.hh"
@@ -432,7 +432,7 @@ TEST(CacheKeyTest, RawDependentRetrieversKeyOnRawText)
 
 TEST(RetrievalCacheTest, HitReturnsTheSharedBundle)
 {
-    RetrievalCache cache(/*capacity=*/8, /*lock_shards=*/1);
+    RetrievalCache cache(RetrievalCache::Options{/*capacity=*/8});
     int computes = 0;
     const auto compute = [&] {
         ++computes;
@@ -450,17 +450,30 @@ TEST(RetrievalCacheTest, HitReturnsTheSharedBundle)
     EXPECT_EQ(counters.evictions, 0u);
 }
 
-TEST(RetrievalCacheTest, ClockSecondChanceKeepsReHitKeyResident)
+TEST(RetrievalCacheTest, LruHotTierEvictsLeastRecentlyUsed)
 {
-    // CLOCK semantics at the tier level: a hit sets the clock bit,
-    // fresh inserts start with it clear, so the sweep always evicts a
-    // key that was never re-hit before one that was — whatever the
-    // hash-determined slot order.
-    ClockCacheTier tier(/*capacity=*/2);
+    // LRU order at the tier level: a hit makes the key the most
+    // recent, so inserts past capacity evict exactly the keys that
+    // went longest without one, oldest first.
+    HotTier lru(/*capacity=*/3);
+    for (const char *key : {"a", "b", "c"})
+        EXPECT_TRUE(lru.insert(key, taggedBundle(key)).empty());
+    ASSERT_TRUE(lru.lookup("a"));
+    const auto first = lru.insert("d", taggedBundle("d"));
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].key, "b");
+    EXPECT_EQ(first[0].value->result_text, "b");
+    const auto second = lru.insert("e", taggedBundle("e"));
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].key, "c");
+    EXPECT_TRUE(lru.lookup("a"));
+
+    HotTier tier(/*capacity=*/2);
     EXPECT_EQ(tier.insert("a", taggedBundle("a")).size(), 0u);
     for (int i = 0; i < 16; ++i) {
-        // Re-hit "a" before every insert: its clock bit is set when
-        // the capacity sweep runs, the newcomer's is not.
+        // Re-hit "a" before every insert: it is the most recent entry
+        // when the newcomer needs room, so the eviction takes the
+        // previous newcomer instead.
         const auto hit = tier.lookup("a");
         ASSERT_TRUE(hit);
         EXPECT_EQ(hit->result_text, "a");
@@ -480,12 +493,10 @@ TEST(RetrievalCacheTest, ClockSecondChanceKeepsReHitKeyResident)
 
 TEST(RetrievalCacheTest, ExactCapacityIsNeverExceeded)
 {
-    // The sharded LRU this replaced rounded per-shard budgets up, so
-    // effective capacity could exceed the configured value by up to
-    // lock_shards - 1. The clock tier's budget is exact: occupancy
-    // never passes `capacity`, shards or no shards.
+    // The hot tier's budget is exact: occupancy never passes
+    // `capacity`.
     constexpr std::size_t kCapacity = 5;
-    RetrievalCache cache(kCapacity, /*lock_shards=*/8);
+    RetrievalCache cache(RetrievalCache::Options{kCapacity});
     for (int i = 0; i < 50; ++i) {
         const std::string key = "key-" + std::to_string(i);
         cache.getOrCompute(key, [&] { return taggedBundle(key); });
@@ -560,7 +571,7 @@ TEST(RetrievalCacheTest, SecondaryTierByteBudgetIsExact)
 
 TEST(RetrievalCacheTest, CapacityZeroDisablesCaching)
 {
-    RetrievalCache cache(/*capacity=*/0);
+    RetrievalCache cache(RetrievalCache::Options{/*capacity=*/0});
     EXPECT_FALSE(cache.enabled());
     int computes = 0;
     for (int i = 0; i < 3; ++i) {
@@ -584,7 +595,7 @@ TEST(RetrievalCacheTest, HotKeyHammerIsSingleFlight)
     // exactly once — concurrent misses coalesce onto the in-flight
     // computation — and every thread must see the same bundle. Run
     // under TSan in CI to keep shared-cache races from regressing.
-    RetrievalCache cache(/*capacity=*/64);
+    RetrievalCache cache(RetrievalCache::Options{/*capacity=*/64});
     constexpr int kThreads = 8;
     constexpr int kIters = 200;
     std::atomic<int> computes{0};
@@ -621,9 +632,9 @@ TEST(RetrievalCacheTest, HotKeyHammerIsSingleFlight)
 
 TEST(RetrievalCacheTest, DistinctKeysUnderConcurrency)
 {
-    // Multi-key hammer across lock shards: every key computes exactly
-    // once and keeps its own bundle.
-    RetrievalCache cache(/*capacity=*/256, /*lock_shards=*/8);
+    // Multi-key hammer: every key computes exactly once and keeps its
+    // own bundle.
+    RetrievalCache cache(RetrievalCache::Options{/*capacity=*/256});
     constexpr int kThreads = 8;
     constexpr int kKeys = 32;
     std::atomic<int> computes{0};

@@ -244,6 +244,11 @@ TEST(WorkerPoolTest, ReusesAParkedThreadAcrossSequentialJobs)
 {
     WorkerPool pool(4);
     for (int i = 0; i < 16; ++i) {
+        // A finished job's worker parks a moment after the job
+        // returns; submitting before then would rightly start a
+        // second thread, so wait until every started worker is idle.
+        while (pool.idleWorkers() != pool.threadsStarted())
+            std::this_thread::yield();
         std::atomic<bool> done{false};
         pool.submit([&] { done.store(true); });
         while (!done.load())

@@ -272,7 +272,7 @@ TEST(StreamCacheTest, PeekAndPublishPopulateWithoutBlocking)
     // The streaming pipeline's cache protocol: peek never waits on an
     // in-flight computation, publish inserts a finished bundle, and a
     // later peek serves it.
-    retrieval::RetrievalCache cache(4, 1);
+    retrieval::RetrievalCache cache(retrieval::RetrievalCache::Options{4});
     retrieval::RetrievalCache::Outcome outcome;
     EXPECT_EQ(cache.peek("k", &outcome), nullptr);
     EXPECT_FALSE(outcome.hit);
@@ -292,7 +292,7 @@ TEST(StreamCacheTest, PeekAndPublishPopulateWithoutBlocking)
                   &outcome);
     EXPECT_EQ(cache.peek("k", &outcome), bundle);
 
-    // Publishing past capacity evicts via the hot tier's clock sweep
+    // Publishing past capacity evicts the hot tier's oldest entries
     // (with no secondary tier configured, displaced bundles are
     // dropped); the entry budget holds exactly.
     for (int i = 0; i < 8; ++i) {
@@ -553,7 +553,8 @@ TEST(AskStreamTest, PausedStreamNeverBlocksABlockingAskOnTheSameKey)
     // Parsed and Planned fill it and the first evidence push blocks
     // mid-retrieval while nobody reads; a blocking ask() of the same
     // question on an engine sharing the cache must still answer.
-    auto cache = std::make_shared<retrieval::RetrievalCache>(1024);
+    auto cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{1024});
     auto streaming = CacheMind::Builder(sharedDb())
                          .withSharedRetrievalCache(cache)
                          .withStreamBuffer(2)
