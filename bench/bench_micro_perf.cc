@@ -135,6 +135,96 @@ BM_HashEmbedder(benchmark::State &state)
 }
 BENCHMARK(BM_HashEmbedder);
 
+namespace {
+
+/**
+ * Questions of the shapes the engine parses most: per-PC and
+ * per-access questions as the serving benchmark asks them, and a
+ * spread of CacheMindBench suite questions.
+ */
+const std::vector<std::string> &
+nameRankQuestions()
+{
+    static const std::vector<std::string> questions = {
+        "What is the miss rate for PC 0x4037aa in the mcf workload with "
+        "LRU?",
+        "How many times did PC 0x409270 appear in the astar workload "
+        "under PARROT?",
+        "What is the average evicted reuse distance of PC 0x40170a for "
+        "the lbm workload with Belady?",
+        "What is the standard deviation of the reuse distance of PC "
+        "0x401d9b in the mcf workload under MLP?",
+        "What is the average recency of PC 0x402ec1 in the mcf workload "
+        "with PARROT?",
+        "Why does PC 0x409228 have a high miss rate in the astar "
+        "workload under LRU? Examine the assembly context and analyze.",
+        "Which policy has the lowest miss rate for PC 0x405832 in the "
+        "astar workload?",
+        "Does the memory access with PC 0x401dd4 and address "
+        "0x35e78006d28 result in a cache hit or cache miss for the lbm "
+        "workload and Belady replacement policy?",
+        "Does the memory access with PC 0x4037ba and address "
+        "0x1b75001b6c0 result in a cache hit or cache miss for the mcf "
+        "workload and PARROT replacement policy?",
+        "Does the memory access with PC 0x409270 and address "
+        "0x2bfd44dd8d3 result in a cache hit or cache miss for the astar "
+        "workload and LRU replacement policy?",
+        "Decompose a memory address into offset, index and tag bits for "
+        "a cache with 64-byte lines and 2048 sets.",
+        "Write code to compute the number of cache hits for PC 0x401e4c "
+        "and address 0x35e7a598de0 in the lbm workload under Belady.",
+        "Why does Belady outperform LRU on PC 0x4037ca in the mcf "
+        "workload?",
+        "Comparing the astar, lbm, mcf workloads under MLP, which has the "
+        "highest cache miss rate? Analyze the workload characteristics "
+        "that explain it.",
+        "What is the sum of the evicted reuse distances caused by PC "
+        "0x405832 in the astar workload under PARROT?",
+        "Compare beladys decisions with lru on the lbm workload.",
+    };
+    return questions;
+}
+
+} // namespace
+
+static void
+BM_NameRank(benchmark::State &state)
+{
+    // Both vocabularies of the default database, ranked for every
+    // question: arg 0 through the reference text::rankNames, arg 1
+    // through the parser's prepared name indexes, including
+    // lower-casing, tokenizing and embedding each question.
+    const bool use_index = state.range(0) != 0;
+    const std::vector<std::string> workloads = {"astar", "lbm", "mcf"};
+    const std::vector<std::string> policies = {"belady", "lru", "mlp",
+                                               "parrot"};
+    const text::HashEmbedder embedder(128);
+    const text::NameIndex workload_index(workloads, embedder);
+    const text::NameIndex policy_index(policies, embedder);
+    const auto &questions = nameRankQuestions();
+    for (auto _ : state) {
+        for (const auto &q : questions) {
+            if (use_index) {
+                const text::PreparedQuery prepared(q, embedder);
+                benchmark::DoNotOptimize(workload_index.rank(prepared));
+                benchmark::DoNotOptimize(policy_index.rank(prepared));
+            } else {
+                benchmark::DoNotOptimize(
+                    text::rankNames(q, workloads, embedder));
+                benchmark::DoNotOptimize(
+                    text::rankNames(q, policies, embedder));
+            }
+        }
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(questions.size()));
+}
+BENCHMARK(BM_NameRank)
+    ->Arg(0)  // reference: text::rankNames
+    ->Arg(1)  // prepared name indexes
+    ->Unit(benchmark::kMicrosecond);
+
 static void
 BM_SieveRetrieval(benchmark::State &state)
 {

@@ -145,7 +145,10 @@ parseU64(const std::string &s)
     for (char c : body) {
         if (c < '0' || c > '9')
             return std::nullopt;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
+            return std::nullopt; // does not fit in 64 bits
+        v = v * 10 + digit;
     }
     return v;
 }
@@ -239,7 +242,11 @@ extractIntTokens(const std::string &text)
             std::uint64_t v = 0;
             while (j < text.size() &&
                    std::isdigit(static_cast<unsigned char>(text[j]))) {
-                v = v * 10 + static_cast<std::uint64_t>(text[j] - '0');
+                const auto digit =
+                    static_cast<std::uint64_t>(text[j] - '0');
+                // Saturate rather than wrap: a huge number stays huge.
+                v = v > (UINT64_MAX - digit) / 10 ? UINT64_MAX
+                                                  : v * 10 + digit;
                 ++j;
             }
             out.push_back(v);

@@ -52,7 +52,11 @@ std::string replaceAll(std::string s, const std::string &from,
  */
 std::optional<std::uint64_t> parseHex(const std::string &s);
 
-/** Parse a decimal unsigned integer. */
+/**
+ * Parse a decimal unsigned integer.
+ * @return nullopt on any non-digit, or when the value exceeds
+ *         UINT64_MAX.
+ */
 std::optional<std::uint64_t> parseU64(const std::string &s);
 
 /** Parse a floating-point number (also accepts trailing '%'). */
@@ -73,7 +77,10 @@ std::string percent(double ratio, int decimals = 2);
  */
 std::vector<std::uint64_t> extractHexTokens(const std::string &text);
 
-/** Extract every decimal integer token from free text, in order. */
+/**
+ * Extract every decimal integer token from free text, in order. A
+ * token too large for 64 bits comes back as UINT64_MAX.
+ */
 std::vector<std::uint64_t> extractIntTokens(const std::string &text);
 
 /** Levenshtein edit distance (for fuzzy workload/policy matching). */

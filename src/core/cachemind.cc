@@ -56,8 +56,14 @@ CacheMind::create(const db::TraceDatabase &db, EngineOptions opts)
     auto &retrievers = retrieval::RetrieverRegistry::instance();
     const retrieval::RetrieverOptions retriever_opts{
         opts.retriever_params};
-    auto retriever =
-        retrievers.create(opts.retriever, shards, retriever_opts);
+    std::unique_ptr<retrieval::Retriever> retriever;
+    try {
+        retriever =
+            retrievers.create(opts.retriever, shards, retriever_opts);
+    } catch (const retrieval::InvalidRetrieverOptions &e) {
+        return EngineError{EngineErrorCode::InvalidOptions,
+                           opts.retriever + ": " + e.what()};
+    }
     if (!retriever) {
         return EngineError{
             EngineErrorCode::UnknownRetriever,

@@ -23,8 +23,9 @@ hasAny(const std::string &lower,
 
 NlQueryParser::NlQueryParser(std::vector<std::string> workload_names,
                              std::vector<std::string> policy_names)
-    : workload_names_(std::move(workload_names)),
-      policy_names_(std::move(policy_names)), embedder_(128)
+    : embedder_(128),
+      workload_index_(std::move(workload_names), embedder_),
+      policy_index_(std::move(policy_names), embedder_)
 {
 }
 
@@ -33,18 +34,15 @@ NlQueryParser::parse(const std::string &text) const
 {
     ParsedQuery q;
     q.raw = text;
-    const std::string lower = str::toLower(text);
+    const text::PreparedQuery prepared(text, embedder_);
+    const std::string &lower = prepared.lower();
 
     // --- Stage 1: workload / policy extraction (semantic + fuzzy).
-    const auto wl_matches =
-        text::rankNames(lower, workload_names_, embedder_);
-    for (const auto &m : wl_matches) {
+    for (const auto &m : workload_index_.rank(prepared)) {
         if (m.score >= 0.9)
             q.workloads.push_back(m.name);
     }
-    const auto pol_matches =
-        text::rankNames(lower, policy_names_, embedder_);
-    for (const auto &m : pol_matches) {
+    for (const auto &m : policy_index_.rank(prepared)) {
         if (m.score >= 0.9)
             q.policies.push_back(m.name);
     }

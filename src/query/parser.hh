@@ -15,7 +15,12 @@
 
 namespace cachemind::query {
 
-/** Parser configured with the known workload and policy vocabulary. */
+/**
+ * Parser configured with the known workload and policy vocabulary.
+ * The constructor prepares one name index per vocabulary; each parse
+ * lower-cases, tokenizes and embeds the question once and ranks both
+ * vocabularies against that.
+ */
 class NlQueryParser
 {
   public:
@@ -27,20 +32,20 @@ class NlQueryParser
 
     const std::vector<std::string> &workloadNames() const
     {
-        return workload_names_;
+        return workload_index_.names();
     }
     const std::vector<std::string> &policyNames() const
     {
-        return policy_names_;
+        return policy_index_.names();
     }
 
   private:
     QueryIntent classifyIntent(const std::string &lower,
                                const ParsedQuery &slots) const;
 
-    std::vector<std::string> workload_names_;
-    std::vector<std::string> policy_names_;
     text::HashEmbedder embedder_;
+    text::NameIndex workload_index_;
+    text::NameIndex policy_index_;
 };
 
 } // namespace cachemind::query

@@ -124,7 +124,11 @@ LlamaIndexRetriever::retrieveParsed(const query::ParsedQuery &parsed,
 namespace {
 
 // Factory knobs (ROADMAP "engine-level scenario configs"); all three
-// shape the index and are part of cacheFingerprint().
+// shape the index and are part of cacheFingerprint(). They can come
+// straight from a serve request, so the ones that size the index are
+// range-checked: a zero stride never finishes the build, and dims
+// outside [8, 4096] either trip the embedder's assertion or allocate
+// without bound.
 const RetrieverRegistrar llamaindex_registrar(
     "llamaindex",
     [](const db::ShardSet &shards, const RetrieverOptions &opts) {
@@ -132,6 +136,13 @@ const RetrieverRegistrar llamaindex_registrar(
         cfg.row_stride = opts.getSize("row_stride", cfg.row_stride);
         cfg.top_k = opts.getSize("top_k", cfg.top_k);
         cfg.dims = opts.getSize("dims", cfg.dims);
+        if (cfg.row_stride == 0)
+            throw InvalidRetrieverOptions("row_stride must be >= 1");
+        if (cfg.dims < 8 || cfg.dims > 4096) {
+            throw InvalidRetrieverOptions(
+                "dims must be in [8, 4096], got " +
+                std::to_string(cfg.dims));
+        }
         return std::make_unique<LlamaIndexRetriever>(shards, cfg);
     });
 

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,16 @@ struct RetrieverOptions
     std::size_t getSize(const std::string &key, std::size_t dflt) const;
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
+};
+
+/**
+ * Thrown by a retriever factory when a knob is out of range. The
+ * engine turns it into an `invalid-options` EngineError carrying the
+ * message, which names the knob.
+ */
+struct InvalidRetrieverOptions : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
 };
 
 /** Process-wide name -> retriever-factory table. */

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <list>
 #include <mutex>
 #include <thread>
@@ -220,6 +221,7 @@ struct Server::Impl
 
     core::CacheMind *acquireEngine(const Request &req,
                                    std::string &key_out,
+                                   std::string &code_out,
                                    std::string &error_out,
                                    bool *lease_timed_out);
     void releaseEngine(const std::string &key, core::CacheMind *engine);
@@ -473,10 +475,11 @@ Server::Impl::runSession(SessionSlot *slot)
 
 core::CacheMind *
 Server::Impl::acquireEngine(const Request &req, std::string &key_out,
-                            std::string &error_out,
+                            std::string &code_out, std::string &error_out,
                             bool *lease_timed_out)
 {
     *lease_timed_out = false;
+    code_out = "bad-engine";
     core::EngineOptions eopts;
     eopts.retriever = req.retriever.empty() ? opts.default_retriever
                                             : req.retriever;
@@ -544,19 +547,34 @@ Server::Impl::acquireEngine(const Request &req, std::string &key_out,
     // Build (and warm) outside the pool lock: engine construction can
     // be heavy (LlamaIndex embeds its index) and must not serialize
     // unrelated sessions. Warming here keeps the one-time cold index
-    // build off every session's time-to-first-event.
-    auto built = core::CacheMind::create(db, std::move(eopts));
-    if (!built.ok()) {
-        error_out = core::errorMessage(built.error());
+    // build off every session's time-to-first-event. A build that
+    // throws (say, bad_alloc on an index sized by request params) fails
+    // this request only: it must never escape the session thread.
+    std::unique_ptr<core::CacheMind> owned;
+    try {
+        auto built = core::CacheMind::create(db, std::move(eopts));
+        if (built.ok()) {
+            owned = std::make_unique<core::CacheMind>(
+                std::move(built).value());
+            owned->warmup();
+        } else {
+            code_out = core::engineErrorCodeName(built.error().code);
+            error_out = built.error().message;
+        }
+    } catch (const std::exception &e) {
+        owned.reset();
+        error_out = std::string("engine build failed: ") + e.what();
+    } catch (...) {
+        owned.reset();
+        error_out = "engine build failed";
+    }
+    if (!owned) {
         std::lock_guard<std::mutex> lock(pool_mu);
         PoolEntry &entry = engine_pool[key_out];
         --entry.total; // release the claimed slot
         entry.lease_ready.notify_one();
         return nullptr;
     }
-    auto owned = std::make_unique<core::CacheMind>(
-        std::move(built).value());
-    owned->warmup();
     core::CacheMind *engine = owned.get();
     {
         std::lock_guard<std::mutex> lock(pool_mu);
@@ -613,14 +631,14 @@ Server::Impl::handleAsk(int fd, const Request &req)
         obs::TraceStore::instance().record(trace);
     };
 
-    std::string key, why;
+    std::string key, code, why;
     bool lease_timed_out = false;
     core::CacheMind *engine = nullptr;
     {
         // Lease-wait span: how long this ask queued for a pooled
         // engine — the serve-side latency the engine never sees.
         obs::SpanScope lease(obs::TraceContext{trace, root}, "lease");
-        engine = acquireEngine(req, key, why, &lease_timed_out);
+        engine = acquireEngine(req, key, code, why, &lease_timed_out);
         lease.annotate("engine_key", key);
         if (lease_timed_out)
             lease.annotate("timed_out", "true");
@@ -640,8 +658,8 @@ Server::Impl::handleAsk(int fd, const Request &req)
             return alive;
         }
         finish("error");
-        return sendFrame(fd, errorFrame(req.id, "bad-engine", why,
-                                        req.request_id));
+        return sendFrame(fd,
+                         errorFrame(req.id, code, why, req.request_id));
     }
     const std::string retriever_name = engine->retriever().name();
     if (trace)

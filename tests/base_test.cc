@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "base/deadline.hh"
+#include "base/failpoint.hh"
 #include "base/random.hh"
 #include "base/stats_util.hh"
 #include "base/str.hh"
@@ -63,6 +64,11 @@ TEST(StrTest, NumberParsing)
 {
     EXPECT_EQ(str::parseU64("12345").value(), 12345u);
     EXPECT_FALSE(str::parseU64("12a").has_value());
+    // The largest 64-bit value parses; one more is refused instead of
+    // wrapping around to 0.
+    EXPECT_EQ(str::parseU64("18446744073709551615").value(), UINT64_MAX);
+    EXPECT_FALSE(str::parseU64("18446744073709551616").has_value());
+    EXPECT_FALSE(str::parseU64("99999999999999999999").has_value());
     EXPECT_DOUBLE_EQ(str::parseDouble("94.91%").value(), 94.91);
     EXPECT_DOUBLE_EQ(str::parseDouble(" 3.5 ").value(), 3.5);
     EXPECT_FALSE(str::parseDouble("abc").has_value());
@@ -84,6 +90,29 @@ TEST(StrTest, ExtractIntTokensSkipsHexBodies)
     ASSERT_EQ(toks.size(), 2u);
     EXPECT_EQ(toks[0], 5u);
     EXPECT_EQ(toks[1], 12u);
+}
+
+TEST(StrTest, ExtractIntTokensSaturatesInsteadOfWrapping)
+{
+    const auto toks = str::extractIntTokens(
+        "top 18446744073709551617 and 18446744073709551615 then 7");
+    ASSERT_EQ(toks.size(), 3u);
+    EXPECT_EQ(toks[0], UINT64_MAX);
+    EXPECT_EQ(toks[1], UINT64_MAX);
+    EXPECT_EQ(toks[2], 7u);
+}
+
+TEST(FailpointSpecTest, OverflowingMaxHitsIsRefused)
+{
+    // #2^64 once wrapped to max_hits 0, which means unlimited: a
+    // bounded failpoint silently became an unbounded one.
+    std::string error;
+    EXPECT_FALSE(cm::fail::armSpec(
+        "base_test.site=error#18446744073709551616", &error));
+    EXPECT_NE(error.find("max_hits"), std::string::npos) << error;
+    EXPECT_FALSE(cm::fail::armSpec(
+        "base_test.site=delay:18446744073709551616", &error));
+    EXPECT_EQ(cm::fail::armedCount(), 0u);
 }
 
 TEST(StrTest, PercentFormatting)

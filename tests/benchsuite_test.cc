@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
+
+#include "base/random.hh"
+#include "base/str.hh"
 #include "benchsuite/generator.hh"
 #include "benchsuite/harness.hh"
 #include "db/builder.hh"
 #include "retrieval/ranger.hh"
 #include "retrieval/sieve.hh"
+#include "text/embedding.hh"
 
 using namespace cachemind;
 using namespace cachemind::benchsuite;
@@ -36,6 +42,134 @@ sharedSuite()
         return BenchGenerator(sharedDb()).generate();
     }();
     return suite;
+}
+
+std::vector<std::string>
+suiteTexts()
+{
+    std::vector<std::string> out;
+    for (const auto &q : sharedSuite())
+        out.push_back(q.text);
+    return out;
+}
+
+/** A policy name as the serving benchmark writes it ("LRU", "Belady"). */
+std::string
+policyDisplay(const std::string &policy)
+{
+    std::string out = policy;
+    for (auto &c : out)
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    return out == "BELADY" ? "Belady" : out;
+}
+
+/**
+ * Every per-PC question the serving benchmark (e2ebench) asks, from
+ * the same templates: seven families for each (shard, PC) pair of the
+ * default database, and a policy comparison once per (workload, PC).
+ */
+const std::vector<std::string> &
+perPcQuestions()
+{
+    static const std::vector<std::string> out = [] {
+        std::vector<std::string> qs;
+        std::set<std::string> seen_wl_pc;
+        for (const auto &key : sharedDb().keys()) {
+            const auto *entry = sharedDb().find(key);
+            const std::string &wl = entry->workload;
+            const std::string pol = policyDisplay(entry->policy);
+            for (const auto pc_value : entry->table.uniquePcs()) {
+                const std::string pc = str::hex(pc_value);
+                qs.push_back("What is the miss rate for PC " + pc +
+                             " in the " + wl + " workload with " + pol +
+                             "?");
+                qs.push_back("How many times did PC " + pc +
+                             " appear in the " + wl + " workload under " +
+                             pol + "?");
+                qs.push_back(
+                    "What is the average evicted reuse distance of PC " +
+                    pc + " for the " + wl + " workload with " + pol + "?");
+                qs.push_back("What is the standard deviation of the reuse "
+                             "distance of PC " +
+                             pc + " in the " + wl + " workload under " +
+                             pol + "?");
+                qs.push_back(
+                    "What is the maximum reuse distance observed for PC " +
+                    pc + " in the " + wl + " workload under " + pol + "?");
+                qs.push_back("What is the average recency of PC " + pc +
+                             " in the " + wl + " workload with " + pol +
+                             "?");
+                qs.push_back("Why does PC " + pc +
+                             " have a high miss rate in the " + wl +
+                             " workload under " + pol +
+                             "? Examine the assembly context and analyze.");
+                if (seen_wl_pc.insert(wl + pc).second) {
+                    qs.push_back(
+                        "Which policy has the lowest miss rate for PC " +
+                        pc + " in the " + wl + " workload?");
+                }
+            }
+        }
+        return qs;
+    }();
+    return out;
+}
+
+/**
+ * A seeded sample of the serving benchmark's per-access hit/miss
+ * questions: a shard and a row drawn at random, asked in its template.
+ */
+const std::vector<std::string> &
+perAccessQuestions()
+{
+    static const std::vector<std::string> out = [] {
+        const auto keys = sharedDb().keys();
+        Rng rng(0xacce55ULL);
+        std::vector<std::string> qs;
+        for (int i = 0; i < 2000; ++i) {
+            const auto *entry =
+                sharedDb().find(keys[rng.nextBelow(keys.size())]);
+            const auto &table = entry->table;
+            const std::size_t row = rng.nextBelow(table.size());
+            qs.push_back("Does the memory access with PC " +
+                         str::hex(table.pcAt(row)) + " and address " +
+                         str::hex(table.addressAt(row)) +
+                         " result in a cache hit or cache miss for the " +
+                         entry->workload + " workload and " +
+                         policyDisplay(entry->policy) +
+                         " replacement policy?");
+        }
+        return qs;
+    }();
+    return out;
+}
+
+/** Same names, same order, and scores equal as doubles. */
+void
+expectSameRanking(const std::vector<text::NameMatch> &got,
+                  const std::vector<text::NameMatch> &want,
+                  const std::string &text)
+{
+    ASSERT_EQ(got.size(), want.size()) << text;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name) << text;
+        EXPECT_EQ(got[i].score, want[i].score) << text;
+    }
+}
+
+/** Digest of every question's slot key and intent, in order. */
+std::uint64_t
+slotDigest(const std::vector<std::string> &questions)
+{
+    const query::NlQueryParser parser(sharedDb().workloads(),
+                                      sharedDb().policies());
+    std::uint64_t h = fnv1a("slot-keys");
+    for (const auto &text : questions) {
+        const auto parsed = parser.parse(text);
+        h = hashCombine(h, fnv1a(parsed.slotKey()));
+        h = hashCombine(h, static_cast<std::uint64_t>(parsed.intent));
+    }
+    return h;
 }
 
 } // namespace
@@ -313,4 +447,37 @@ TEST(CategoryTest, TierMembership)
     EXPECT_FALSE(isTraceGrounded(Category::MicroarchConcepts));
     EXPECT_FALSE(isTraceGrounded(Category::SemanticAnalysis));
     EXPECT_EQ(allCategories().size(), 11u);
+}
+
+// The parser's output is part of every cache key and every answer.
+// These digests were recorded before the parser ranked names through
+// name indexes; any change to what it extracts from these questions
+// fails here.
+TEST(ParserIdentityTest, SlotKeysMatchTheRecordedDigests)
+{
+    EXPECT_EQ(slotDigest(suiteTexts()), 0xb5e4aaa6956933feULL);
+    ASSERT_EQ(perPcQuestions().size(), 609u);
+    EXPECT_EQ(slotDigest(perPcQuestions()), 0xacc729fe05a7c121ULL);
+    EXPECT_EQ(slotDigest(perAccessQuestions()), 0x80ed260e0638982fULL);
+}
+
+TEST(ParserIdentityTest, NameIndexRanksExactlyLikeRankNames)
+{
+    const text::HashEmbedder embedder(128);
+    const auto workloads = sharedDb().workloads();
+    const auto policies = sharedDb().policies();
+    const text::NameIndex workload_index(workloads, embedder);
+    const text::NameIndex policy_index(policies, embedder);
+    auto questions = suiteTexts();
+    questions.insert(questions.end(), perPcQuestions().begin(),
+                     perPcQuestions().end());
+    questions.insert(questions.end(), perAccessQuestions().begin(),
+                     perAccessQuestions().end());
+    for (const auto &text : questions) {
+        const text::PreparedQuery prepared(text, embedder);
+        expectSameRanking(workload_index.rank(prepared),
+                          text::rankNames(text, workloads, embedder), text);
+        expectSameRanking(policy_index.rank(prepared),
+                          text::rankNames(text, policies, embedder), text);
+    }
 }

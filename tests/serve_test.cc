@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "db/builder.hh"
 #include "obs/trace.hh"
 #include "retrieval/context.hh"
+#include "retrieval/registry.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -571,6 +573,123 @@ TEST(ServerTest, LeaseReleasesWakeWaitersOnTheReleasedKey)
     for (auto &t : clients)
         t.join();
     EXPECT_EQ(done_count.load(), 2 * kClientsPerKey);
+    server.stop();
+}
+
+namespace {
+
+/** Send one ask and return its first frame. */
+std::optional<std::map<std::string, std::string>>
+firstFrame(LineClient &client, const Request &req)
+{
+    if (!client.sendLine(renderRequest(req)))
+        return std::nullopt;
+    const auto line = client.recvLine();
+    if (!line)
+        return std::nullopt;
+    return parseJsonObject(*line);
+}
+
+const bool throwing_factory_registered =
+    retrieval::RetrieverRegistry::instance().add(
+        "serve-test-throwing-build",
+        [](const db::ShardSet &) -> std::unique_ptr<retrieval::Retriever> {
+            throw std::runtime_error("index build exploded");
+        });
+
+} // namespace
+
+TEST(ServerTest, BadLlamaIndexParamsGetInvalidOptionsFrames)
+{
+    // Each of these once took the server down or hung it: dims=4
+    // tripped the embedder's assertion (abort), a huge dims threw
+    // bad_alloc out of the session thread (terminate), and a zero
+    // stride never finished the index build. With one engine per key,
+    // a build slot that was not given back would also turn the repeat
+    // of each request into an overloaded frame.
+    ServeOptions opts;
+    opts.max_engines_per_key = 1;
+    Server server(sharedDb(), opts);
+    ASSERT_TRUE(server.start());
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(expectHello(client));
+
+    const std::pair<const char *, const char *> bad[] = {
+        {"dims", "4"},
+        {"dims", "100000000000"},
+        {"dims", "4097"},
+        {"row_stride", "0"},
+    };
+    int n = 0;
+    for (const auto &[knob, value] : bad) {
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            Request req;
+            req.id = "bad-" + std::to_string(n++);
+            req.question = suiteQuestions()[0];
+            req.retriever = "llamaindex";
+            req.params[knob] = value;
+            const auto frame = firstFrame(client, req);
+            ASSERT_TRUE(frame.has_value()) << knob << "=" << value;
+            EXPECT_EQ(frame->at("frame"), "error") << knob << "=" << value;
+            EXPECT_EQ(frame->at("code"), "invalid-options")
+                << knob << "=" << value;
+            EXPECT_NE(frame->at("message").find(knob), std::string::npos)
+                << frame->at("message");
+        }
+    }
+
+    // The same session keeps serving: a normal ask, and a LlamaIndex
+    // engine whose stride overflows 64 bits (which once wrapped to 0
+    // and hung) falls back to the default stride.
+    EXPECT_TRUE(askOver(client, "ok", suiteQuestions()[0], "sieve").done);
+    Request wrapped;
+    wrapped.id = "wrapped";
+    wrapped.question = suiteQuestions()[0];
+    wrapped.retriever = "llamaindex";
+    wrapped.params["row_stride"] = "18446744073709551616";
+    ASSERT_TRUE(client.sendLine(renderRequest(wrapped)));
+    bool done = false;
+    while (auto line = client.recvLine()) {
+        const auto frame = parseJsonObject(*line);
+        ASSERT_TRUE(frame.has_value());
+        ASSERT_NE(frame->at("frame"), "error") << *line;
+        if (frame->at("frame") == "done") {
+            done = true;
+            break;
+        }
+    }
+    EXPECT_TRUE(done);
+    server.stop();
+}
+
+TEST(ServerTest, ThrowingEngineBuildGetsAnErrorFrameAndFreesItsSlot)
+{
+    // An exception out of engine construction must end this request
+    // with an error frame, give back the build slot it claimed (so the
+    // repeat is not shed as overloaded), and leave the server serving.
+    ASSERT_TRUE(throwing_factory_registered);
+    ServeOptions opts;
+    opts.max_engines_per_key = 1;
+    Server server(sharedDb(), opts);
+    ASSERT_TRUE(server.start());
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(expectHello(client));
+    for (int repeat = 0; repeat < 2; ++repeat) {
+        Request req;
+        req.id = "throw-" + std::to_string(repeat);
+        req.question = suiteQuestions()[0];
+        req.retriever = "serve-test-throwing-build";
+        const auto frame = firstFrame(client, req);
+        ASSERT_TRUE(frame.has_value());
+        EXPECT_EQ(frame->at("frame"), "error");
+        EXPECT_EQ(frame->at("code"), "bad-engine");
+        EXPECT_NE(frame->at("message").find("index build exploded"),
+                  std::string::npos)
+            << frame->at("message");
+    }
+    EXPECT_TRUE(askOver(client, "ok", suiteQuestions()[0], "sieve").done);
     server.stop();
 }
 
