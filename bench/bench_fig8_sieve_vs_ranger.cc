@@ -3,6 +3,10 @@
  * E7 (Figure 8): CacheMind-Sieve vs CacheMind-Ranger across the
  * trace-grounded categories (GPT-4o generator), plus the tier totals.
  *
+ * Both retrievers run as Builder-configured engines evaluated through
+ * askBatch, the same path serving uses; tests/paper_claims_test.cc
+ * pins these numbers and the crossover.
+ *
  * Expected shape (paper): Ranger ~89% vs Sieve ~67% on the
  * trace-grounded tier — Ranger executes programs over the full table,
  * so Count and Arithmetic flip from near-zero to near-perfect — while
@@ -15,9 +19,8 @@
 
 #include "benchsuite/generator.hh"
 #include "benchsuite/harness.hh"
+#include "core/cachemind.hh"
 #include "db/builder.hh"
-#include "retrieval/ranger.hh"
-#include "retrieval/sieve.hh"
 
 using namespace cachemind;
 
@@ -29,11 +32,16 @@ main()
     const benchsuite::BenchGenerator generator(database);
     const benchsuite::EvalHarness harness(generator.generate());
 
-    const llm::GeneratorLlm gen(llm::BackendKind::Gpt4o);
-    retrieval::SieveRetriever sieve(database);
-    retrieval::RangerRetriever ranger(database);
-    const auto res_sieve = harness.evaluate(sieve, gen);
-    const auto res_ranger = harness.evaluate(ranger, gen);
+    const auto evaluate = [&](const char *retriever) {
+        auto engine = core::CacheMind::Builder(database)
+                          .withRetriever(retriever)
+                          .withBackend("gpt-4o")
+                          .build()
+                          .expect("building the Figure 8 engine");
+        return harness.evaluate(engine);
+    };
+    const auto res_sieve = evaluate("sieve");
+    const auto res_ranger = evaluate("ranger");
 
     std::printf("\n=== Figure 8: retriever comparison (GPT-4o "
                 "generator) ===\n");

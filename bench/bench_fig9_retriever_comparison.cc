@@ -134,7 +134,8 @@ main()
         std::size_t correct = 0;
         double total_ms = 0.0;
         for (const auto &q : queries) {
-            const auto bundle = retriever.retrieve(q.text);
+            const auto bundle =
+                retriever.retrieveParsed(engine.parser().parse(q.text));
             correct += contextIsCorrect(q, bundle);
             total_ms += bundle.retrieval_ms;
         }

@@ -37,6 +37,7 @@
 #include "db/postings_ops.hh"
 #include "policy/basic_policies.hh"
 #include "query/dsl.hh"
+#include "query/parser.hh"
 #include "retrieval/cache.hh"
 #include "retrieval/ranger.hh"
 #include "retrieval/sieve.hh"
@@ -230,11 +231,14 @@ BM_SieveRetrieval(benchmark::State &state)
 {
     const auto &database = microDb();
     retrieval::SieveRetriever sieve(database);
+    const query::NlQueryParser parser(database.workloads(),
+                                      database.policies());
     const std::string query =
         "What is the miss rate for PC 0x4037aa in the mcf workload "
         "with LRU?";
     for (auto _ : state)
-        benchmark::DoNotOptimize(sieve.retrieve(query));
+        benchmark::DoNotOptimize(
+            sieve.retrieveParsed(parser.parse(query)));
 }
 BENCHMARK(BM_SieveRetrieval)->Unit(benchmark::kMicrosecond);
 
@@ -243,11 +247,14 @@ BM_RangerRetrieval(benchmark::State &state)
 {
     const auto &database = microDb();
     retrieval::RangerRetriever ranger(database);
+    const query::NlQueryParser parser(database.workloads(),
+                                      database.policies());
     const std::string query =
         "What is the miss rate for PC 0x4037aa in the mcf workload "
         "with LRU?";
     for (auto _ : state)
-        benchmark::DoNotOptimize(ranger.retrieve(query));
+        benchmark::DoNotOptimize(
+            ranger.retrieveParsed(parser.parse(query)));
 }
 BENCHMARK(BM_RangerRetrieval)->Unit(benchmark::kMicrosecond);
 
@@ -542,10 +549,12 @@ BENCHMARK(BM_ColdQuestionRetrieval)
 static void
 BM_MultiProgramPlan(benchmark::State &state)
 {
-    // Ranger's policy-comparison plan: one DSL program per policy
-    // shard, executed in plan order on the calling thread.
+    // Ranger's policy-comparison plan: parse, then one DSL program per
+    // policy shard, executed in plan order on the calling thread.
     const auto &database = fullDb();
     retrieval::RangerRetriever ranger(database);
+    const query::NlQueryParser parser(database.workloads(),
+                                      database.policies());
     const std::vector<std::string> questions = {
         "Which policy has the lowest miss rate in the mcf workload?",
         "Which policy has the highest miss rate in the astar "
@@ -554,8 +563,8 @@ BM_MultiProgramPlan(benchmark::State &state)
     };
     std::size_t qi = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            ranger.retrieve(questions[qi++ % questions.size()]));
+        benchmark::DoNotOptimize(ranger.retrieveParsed(
+            parser.parse(questions[qi++ % questions.size()])));
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));
 }

@@ -27,17 +27,25 @@ class Deadline
     /** Infinite deadline: never expires. */
     constexpr Deadline() = default;
 
-    /** Deadline `ms` milliseconds from now (ms <= 0 means infinite). */
+    /**
+     * Deadline `ms` milliseconds from now. A budget that is not above 0
+     * (NaN included), or that the clock cannot represent (past about
+     * 292 years of nanoseconds), means infinite.
+     */
     static Deadline
     afterMs(double ms)
     {
-        if (ms <= 0.0)
+        const std::chrono::duration<double, std::milli> budget(ms);
+        if (!(ms > 0.0) || budget >= Clock::duration::max())
+            return Deadline();
+        const auto now = Clock::now();
+        const auto step =
+            std::chrono::duration_cast<Clock::duration>(budget);
+        if (step >= Clock::time_point::max() - now)
             return Deadline();
         Deadline d;
         d.finite_ = true;
-        d.at_ = Clock::now() +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(ms));
+        d.at_ = now + step;
         return d;
     }
 

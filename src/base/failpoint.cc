@@ -84,7 +84,9 @@ parseEntry(const std::string &entry, std::string &site, FailSpec &spec,
     const auto at = rhs.rfind('@');
     if (at != std::string::npos) {
         const auto parsed = str::parseDouble(str::trim(rhs.substr(at + 1)));
-        if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
+        // Written so that NaN, for which every comparison is false,
+        // is refused too.
+        if (!parsed || !(*parsed >= 0.0 && *parsed <= 1.0)) {
             if (error)
                 *error = "bad probability in failpoint entry '" + entry + "'";
             return false;

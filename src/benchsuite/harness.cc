@@ -102,21 +102,6 @@ EvalHarness::accumulate(const Question &q,
 }
 
 EvalResult
-EvalHarness::evaluate(retrieval::Retriever &retriever,
-                      const llm::GeneratorLlm &generator,
-                      const llm::GenerationOptions &opts) const
-{
-    EvalResult result;
-    result.records.reserve(suite_.size());
-    for (const auto &q : suite_) {
-        const auto bundle = retriever.retrieve(q.text);
-        const auto answer = generator.answer(bundle, opts);
-        accumulate(q, bundle, answer, result);
-    }
-    return result;
-}
-
-EvalResult
 EvalHarness::evaluate(core::CacheMind &engine) const
 {
     std::vector<std::string> texts;

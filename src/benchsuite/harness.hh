@@ -1,8 +1,8 @@
 /**
  * @file
- * Evaluation harness: runs a (retriever, generator) pipeline over a
- * question suite, grades every answer, and aggregates per category,
- * per tier, per retrieval-quality bucket, and as the paper's weighted
+ * Evaluation harness: asks a Builder-configured engine every question
+ * of a suite, grades every answer, and aggregates per category, per
+ * tier, per retrieval-quality bucket, and as the paper's weighted
  * total. Powers Figures 4, 5, 6, 7 and 8.
  */
 
@@ -66,7 +66,7 @@ struct EvalResult
     std::vector<std::size_t> araScoreHistogram() const;
 };
 
-/** Runs pipelines over suites. */
+/** Runs engines over suites. */
 class EvalHarness
 {
   public:
@@ -75,12 +75,6 @@ class EvalHarness
     {}
 
     const std::vector<Question> &suite() const { return suite_; }
-
-    /** Evaluate one (retriever, generator) pipeline. */
-    EvalResult evaluate(retrieval::Retriever &retriever,
-                        const llm::GeneratorLlm &generator,
-                        const llm::GenerationOptions &opts =
-                            llm::GenerationOptions{}) const;
 
     /**
      * Evaluate a Builder-configured engine, driving the whole suite

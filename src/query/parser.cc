@@ -174,11 +174,6 @@ NlQueryParser::classifyIntent(const std::string &lower,
                        "list the pcs"})) {
         return QueryIntent::ListPcs;
     }
-    if (hasAny(lower, {"hot set", "cold set", "hot and cold",
-                       "set hotness", "hits per set",
-                       "hit rate per set"})) {
-        return QueryIntent::SetStats;
-    }
     if (hasAny(lower, {"unique cache sets", "unique sets", "list sets",
                        "cache sets in ascending"})) {
         return QueryIntent::ListSets;

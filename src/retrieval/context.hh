@@ -233,14 +233,16 @@ class NullEvidenceSink : public EvidenceSink
 /**
  * Abstract retriever interface.
  *
- * The staged ask() pipeline parses each question exactly once at the
- * engine level and enters through retrieveParsed(); the string
- * overload remains as a parsing shim for direct/standalone use. The
- * cache hooks let the engine share evidence bundles across questions:
- * cacheFingerprint() identifies the retriever configuration (two
- * retrievers with equal fingerprints assemble identical evidence for
- * equal cache keys), and cacheKey() maps one parsed query to its
- * per-query key — or "" when the bundle must not be shared.
+ * A retriever implements one method: retrieveParsed(parsed, sink)
+ * assembles the evidence bundle for a question the engine has already
+ * parsed, emitting each section into `sink` as it is assembled. A
+ * retriever that emits nothing still works; its streams then carry no
+ * evidence chunks. The cache hooks let the engine share evidence
+ * bundles across questions: cacheFingerprint() identifies the
+ * retriever configuration (two retrievers with equal fingerprints
+ * assemble identical evidence for equal cache keys), and cacheKey()
+ * maps one parsed query to its per-query key — or "" when the bundle
+ * must not be shared.
  */
 class Retriever
 {
@@ -248,37 +250,21 @@ class Retriever
     virtual ~Retriever() = default;
     virtual const char *name() const = 0;
 
-    /** String entry point (parsing shim over retrieveParsed). */
-    virtual ContextBundle retrieve(const std::string &query) = 0;
-
     /**
-     * Primary pipeline entry point: assemble evidence for an
-     * already-parsed query. The default forwards to the string
-     * overload so pre-pipeline custom retrievers keep working.
+     * Assemble evidence for a parsed query, emitting sections into
+     * `sink` as they are produced. The returned bundle must not depend
+     * on the sink: streaming changes when evidence becomes visible,
+     * never what is retrieved.
      */
-    virtual ContextBundle
+    virtual ContextBundle retrieveParsed(const query::ParsedQuery &parsed,
+                                         EvidenceSink &sink) = 0;
+
+    /** Blocking form: retrieveParsed with a discarding sink. */
+    ContextBundle
     retrieveParsed(const query::ParsedQuery &parsed)
     {
-        return retrieve(parsed.raw);
-    }
-
-    /**
-     * Streaming overload: assemble the *same* bundle while emitting
-     * evidence sections into `sink` as they are produced. The
-     * returned bundle must be byte-identical to retrieveParsed(parsed)
-     * — streaming changes when evidence becomes visible, never what
-     * is retrieved. The default shim retrieves the full bundle, then
-     * emits it as a single chunk, so custom retrievers stream (one
-     * coarse chunk) with no extra work; the built-ins override this
-     * with genuinely incremental section-by-section emission.
-     */
-    virtual ContextBundle
-    retrieveParsed(const query::ParsedQuery &parsed, EvidenceSink &sink)
-    {
-        ContextBundle bundle = retrieveParsed(parsed);
-        if (sink.active())
-            sink.emit("bundle", bundle.render());
-        return bundle;
+        NullEvidenceSink sink;
+        return retrieveParsed(parsed, sink);
     }
 
     /**

@@ -13,7 +13,6 @@ namespace cachemind::retrieval {
 LlamaIndexRetriever::LlamaIndexRetriever(db::ShardSet shards,
                                          LlamaIndexConfig cfg)
     : shards_(std::move(shards)), cfg_(std::move(cfg)),
-      parser_(shards_.workloads(), shards_.policies()),
       embedder_(cfg_.dims)
 {
     index_ = std::make_unique<text::VectorIndex>(embedder_);
@@ -50,12 +49,6 @@ LlamaIndexRetriever::buildIndex()
     }
 }
 
-ContextBundle
-LlamaIndexRetriever::retrieve(const std::string &query)
-{
-    return retrieveParsed(parser_.parse(query));
-}
-
 std::string
 LlamaIndexRetriever::cacheFingerprint() const
 {
@@ -72,13 +65,6 @@ LlamaIndexRetriever::cacheKey(const query::ParsedQuery &parsed) const
     // embedding), so slot-equal paraphrases can score chunks
     // differently and must not share; verbatim repeats still hit.
     return "raw=" + parsed.raw;
-}
-
-ContextBundle
-LlamaIndexRetriever::retrieveParsed(const query::ParsedQuery &parsed)
-{
-    NullEvidenceSink sink;
-    return retrieveParsed(parsed, sink);
 }
 
 ContextBundle

@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "db/shard.hh"
-#include "query/parser.hh"
 #include "retrieval/context.hh"
 #include "text/embedding.hh"
 
@@ -42,11 +41,7 @@ class LlamaIndexRetriever : public Retriever
                         LlamaIndexConfig cfg = LlamaIndexConfig{});
 
     const char *name() const override { return "llamaindex"; }
-    /** Parsing shim: parse the question, then retrieveParsed. */
-    ContextBundle retrieve(const std::string &query) override;
-    /** Blocking entry: the streaming path with a discarding sink. */
-    ContextBundle
-    retrieveParsed(const query::ParsedQuery &parsed) override;
+    using Retriever::retrieveParsed;
     /**
      * Primary implementation: one chunk per retrieved top-k hit, in
      * similarity order. Byte-identical bundle to the blocking
@@ -71,7 +66,6 @@ class LlamaIndexRetriever : public Retriever
 
     db::ShardSet shards_;
     LlamaIndexConfig cfg_;
-    query::NlQueryParser parser_;
     text::HashEmbedder embedder_;
     std::unique_ptr<text::VectorIndex> index_;
 };

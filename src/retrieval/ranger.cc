@@ -22,7 +22,6 @@ using query::QueryIntent;
 
 RangerRetriever::RangerRetriever(db::ShardSet shards, RangerConfig cfg)
     : shards_(std::move(shards)), cfg_(std::move(cfg)),
-      parser_(shards_.workloads(), shards_.policies()),
       interp_(shards_, cfg_.use_index ? query::ExecMode::Indexed
                                       : query::ExecMode::ReferenceScan)
 {
@@ -183,12 +182,6 @@ RangerRetriever::corrupt(DslProgram &prog, std::uint64_t key) const
     }
 }
 
-ContextBundle
-RangerRetriever::retrieve(const std::string &query)
-{
-    return retrieveParsed(parser_.parse(query));
-}
-
 std::string
 RangerRetriever::cacheFingerprint() const
 {
@@ -210,13 +203,6 @@ RangerRetriever::cacheKey(const ParsedQuery &parsed) const
     if (cfg_.codegen_fidelity < 1.0)
         key += "|raw=" + parsed.raw;
     return key;
-}
-
-ContextBundle
-RangerRetriever::retrieveParsed(const ParsedQuery &parsed)
-{
-    NullEvidenceSink sink;
-    return retrieveParsed(parsed, sink);
 }
 
 ContextBundle

@@ -18,7 +18,6 @@
 
 #include "db/shard.hh"
 #include "query/dsl.hh"
-#include "query/parser.hh"
 #include "retrieval/context.hh"
 
 namespace cachemind::retrieval {
@@ -54,11 +53,7 @@ class RangerRetriever : public Retriever
                     RangerConfig cfg = RangerConfig{});
 
     const char *name() const override { return "ranger"; }
-    /** Parsing shim: parse the question, then retrieveParsed. */
-    ContextBundle retrieve(const std::string &query) override;
-    /** Blocking entry: the streaming path with a discarding sink. */
-    ContextBundle
-    retrieveParsed(const query::ParsedQuery &parsed) override;
+    using Retriever::retrieveParsed;
     /**
      * Primary implementation: one chunk per executed program (the
      * rendered Python plus its result), so multi-program plans
@@ -91,7 +86,6 @@ class RangerRetriever : public Retriever
 
     db::ShardSet shards_;
     RangerConfig cfg_;
-    query::NlQueryParser parser_;
     query::Interpreter interp_;
 };
 

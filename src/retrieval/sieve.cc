@@ -14,8 +14,7 @@ using query::ParsedQuery;
 using query::QueryIntent;
 
 SieveRetriever::SieveRetriever(db::ShardSet shards, SieveConfig cfg)
-    : shards_(std::move(shards)), cfg_(std::move(cfg)),
-      parser_(shards_.workloads(), shards_.policies())
+    : shards_(std::move(shards)), cfg_(std::move(cfg))
 {
 }
 
@@ -105,12 +104,6 @@ SieveRetriever::fillSourceContext(std::uint64_t pc,
     bundle.assembly = symbols->assemblyAround(pc);
 }
 
-ContextBundle
-SieveRetriever::retrieve(const std::string &query)
-{
-    return retrieveParsed(parser_.parse(query));
-}
-
 std::string
 SieveRetriever::cacheFingerprint() const
 {
@@ -129,13 +122,6 @@ SieveRetriever::cacheKey(const ParsedQuery &parsed) const
     // resolved shard, and the config (in the fingerprint) — never of
     // the raw phrasing — so slot-equal questions share bundles.
     return resolveTraceKey(parsed) + "|" + parsed.slotKey();
-}
-
-ContextBundle
-SieveRetriever::retrieveParsed(const ParsedQuery &parsed)
-{
-    NullEvidenceSink sink;
-    return retrieveParsed(parsed, sink);
 }
 
 ContextBundle

@@ -11,7 +11,6 @@
 #define CACHEMIND_RETRIEVAL_SIEVE_HH
 
 #include "db/shard.hh"
-#include "query/parser.hh"
 #include "retrieval/context.hh"
 
 namespace cachemind::retrieval {
@@ -48,11 +47,7 @@ class SieveRetriever : public Retriever
     SieveRetriever(db::ShardSet shards, SieveConfig cfg = SieveConfig{});
 
     const char *name() const override { return "sieve"; }
-    /** Parsing shim: parse the question, then retrieveParsed. */
-    ContextBundle retrieve(const std::string &query) override;
-    /** Blocking entry: the streaming path with a discarding sink. */
-    ContextBundle
-    retrieveParsed(const query::ParsedQuery &parsed) override;
+    using Retriever::retrieveParsed;
     /**
      * Primary implementation: emits the overview before the (costly,
      * once-per-shard) statistics expert is built, then the premise
@@ -68,8 +63,6 @@ class SieveRetriever : public Retriever
     /** (resolved shard key, slot key): Sieve evidence is slot-pure. */
     std::string
     cacheKey(const query::ParsedQuery &parsed) const override;
-
-    const query::NlQueryParser &parser() const { return parser_; }
 
   private:
     /** Resolve the trace key from parsed slots (may be empty). */
@@ -91,7 +84,6 @@ class SieveRetriever : public Retriever
 
     db::ShardSet shards_;
     SieveConfig cfg_;
-    query::NlQueryParser parser_;
 };
 
 } // namespace cachemind::retrieval

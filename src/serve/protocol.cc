@@ -1,6 +1,8 @@
 #include "serve/protocol.hh"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 
 #include "base/str.hh"
 #include "core/cachemind.hh"
@@ -34,6 +36,15 @@ jsonEscape(const std::string &text)
 }
 
 namespace {
+
+/** A finite `v` as a JSON number that parses back to exactly `v`. */
+std::string
+jsonNumber(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
 
 /** Cursor over one protocol line (no JSON library dependency). */
 struct Scanner
@@ -236,10 +247,11 @@ parseRequest(const std::string &line, std::string *error)
     req.trace_filter = get("filter");
     const std::string last = get("last");
     if (!last.empty()) {
+        // A whole number in [0, 2^63), checked before the cast below
+        // (undefined out of range); NaN fails the range check.
         const auto parsed = str::parseDouble(last);
-        if (!parsed || *parsed < 0.0 ||
-            *parsed != static_cast<double>(
-                           static_cast<long long>(*parsed))) {
+        if (!parsed || !(*parsed >= 0.0 && *parsed < std::ldexp(1.0, 63)) ||
+            *parsed != std::floor(*parsed)) {
             if (error)
                 *error = "bad \"last\" value '" + last + "'";
             return std::nullopt;
@@ -249,7 +261,7 @@ parseRequest(const std::string &line, std::string *error)
     const std::string deadline = get("deadline_ms");
     if (!deadline.empty()) {
         const auto parsed = str::parseDouble(deadline);
-        if (!parsed || *parsed < 0.0) {
+        if (!parsed || !(std::isfinite(*parsed) && *parsed >= 0.0)) {
             if (error)
                 *error = "bad \"deadline_ms\" value '" + deadline + "'";
             return std::nullopt;
@@ -302,15 +314,8 @@ renderRequest(const Request &request)
     }
     if (!request.backend.empty())
         line += ",\"backend\":\"" + jsonEscape(request.backend) + "\"";
-    if (request.deadline_ms > 0.0) {
-        // Render as an integer millisecond count when whole (the
-        // common case), so the line stays human-readable.
-        const auto whole = static_cast<long long>(request.deadline_ms);
-        line += ",\"deadline_ms\":";
-        line += static_cast<double>(whole) == request.deadline_ms
-                    ? std::to_string(whole)
-                    : std::to_string(request.deadline_ms);
-    }
+    if (request.deadline_ms > 0.0)
+        line += ",\"deadline_ms\":" + jsonNumber(request.deadline_ms);
     if (!request.failpoint_spec.empty()) {
         line += ",\"spec\":\"" + jsonEscape(request.failpoint_spec) +
                 "\"";
@@ -385,12 +390,8 @@ std::string
 deadlineExceededFrame(const std::string &id, double deadline_ms,
                       const std::string &request_id)
 {
-    const auto whole = static_cast<long long>(deadline_ms);
     return "{\"frame\":\"deadline_exceeded\"" + idField(id) +
-           ",\"deadline_ms\":" +
-           (static_cast<double>(whole) == deadline_ms
-                ? std::to_string(whole)
-                : std::to_string(deadline_ms)) +
+           ",\"deadline_ms\":" + jsonNumber(deadline_ms) +
            requestIdField(request_id) + "}";
 }
 

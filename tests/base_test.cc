@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "base/deadline.hh"
 #include "base/failpoint.hh"
 #include "base/random.hh"
 #include "base/stats_util.hh"
 #include "base/str.hh"
+#include "byte_mutations.hh"
 
 namespace cm = cachemind;
 namespace str = cachemind::str;
@@ -113,6 +116,67 @@ TEST(FailpointSpecTest, OverflowingMaxHitsIsRefused)
     EXPECT_FALSE(cm::fail::armSpec(
         "base_test.site=delay:18446744073709551616", &error));
     EXPECT_EQ(cm::fail::armedCount(), 0u);
+}
+
+TEST(FailpointSpecTest, NanProbabilityIsRefused)
+{
+    // Both range comparisons are false for NaN, so @nan was accepted
+    // and the site then fired on every hit.
+    for (const char *spec : {"base_test.site=error@nan",
+                             "base_test.site=error@-nan",
+                             "base_test.site=error@inf"}) {
+        std::string error;
+        EXPECT_FALSE(cm::fail::armSpec(spec, &error)) << spec;
+        EXPECT_NE(error.find("probability"), std::string::npos) << error;
+    }
+    EXPECT_EQ(cm::fail::armedCount(), 0u);
+    cm::fail::disarmAll();
+}
+
+namespace {
+
+/** The examples in failpoint.hh and the specs the serve tests arm. */
+const std::vector<std::string> kSpecSeeds = {
+    "serve.read=drop@0.05",
+    "db.index_build=error#1",
+    "retrieve.section=delay:50",
+    "serve.lease=delay:50",
+    "serve.read=drop@0.05,db.index_build=error#1",
+    "serve.write=corrupt:3@0.5#2, retrieve.section = off",
+    "off",
+};
+
+/** armSpec must not crash on `spec`, and either arm it or say why. */
+void
+checkSpec(const std::string &spec)
+{
+    std::string error;
+    if (!cm::fail::armSpec(spec, &error)) {
+        EXPECT_FALSE(error.empty()) << fuzz::escaped(spec);
+    }
+    cm::fail::disarmAll();
+    EXPECT_EQ(cm::fail::armedCount(), 0u) << fuzz::escaped(spec);
+}
+
+} // namespace
+
+TEST(FailpointFuzzTest, TruncatedSpecsArmOrExplain)
+{
+    for (const auto &seed : kSpecSeeds) {
+        for (std::size_t n = 0; n <= seed.size() && !HasFailure(); ++n)
+            checkSpec(seed.substr(0, n));
+    }
+}
+
+TEST(FailpointFuzzTest, MutatedSpecsArmOrExplain)
+{
+    cm::Rng rng(0xfa11ULL);
+    for (int i = 0; i < 10000 && !HasFailure(); ++i) {
+        std::string spec = kSpecSeeds[rng.nextBelow(kSpecSeeds.size())];
+        for (auto n = 1 + rng.nextBelow(4); n > 0; --n)
+            fuzz::mutateOnce(spec, rng);
+        checkSpec(spec);
+    }
 }
 
 TEST(StrTest, PercentFormatting)
@@ -318,6 +382,26 @@ TEST(DeadlineTest, FiniteBudgetRunsOut)
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     EXPECT_TRUE(d.expired());
     EXPECT_LE(d.remainingMs(), 0.0);
+}
+
+TEST(DeadlineTest, BudgetsPastTheClockRangeNeverExpire)
+{
+    // Converting these budgets to the clock's int64 nanoseconds once
+    // overflowed, and a request that asked for more time was cut off
+    // at once.
+    for (const double ms :
+         {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+        const auto d = cm::Deadline::afterMs(ms);
+        EXPECT_FALSE(d.expired()) << ms;
+        EXPECT_GT(d.remainingMs(), 1e9) << ms;
+    }
+    EXPECT_FALSE(
+        cm::Deadline::afterMs(std::numeric_limits<double>::quiet_NaN())
+            .finite());
+    // A budget the clock can hold stays finite.
+    const auto decades = cm::Deadline::afterMs(1e12);
+    EXPECT_TRUE(decades.finite());
+    EXPECT_FALSE(decades.expired());
 }
 
 TEST(DeadlineTest, GenerousBudgetStaysUnexpired)

@@ -14,9 +14,8 @@
 #include "base/str.hh"
 #include "benchsuite/generator.hh"
 #include "benchsuite/harness.hh"
+#include "core/cachemind.hh"
 #include "db/builder.hh"
-#include "retrieval/ranger.hh"
-#include "retrieval/sieve.hh"
 #include "text/embedding.hh"
 
 using namespace cachemind;
@@ -380,12 +379,26 @@ TEST(GraderTest, CopiedExampleVoidsEvidence)
     EXPECT_LE(g.score, 4.0);
 }
 
+namespace {
+
+/** A Builder engine over the full database. */
+core::CacheMind
+harnessEngine(const char *retriever, llm::BackendKind backend)
+{
+    return core::CacheMind::Builder(sharedDb())
+        .withRetriever(retriever)
+        .withBackend(llm::backendKey(backend))
+        .build()
+        .expect("harness engine");
+}
+
+} // namespace
+
 TEST(HarnessTest, AggregationsAreConsistent)
 {
     const EvalHarness harness(sharedSuite());
-    retrieval::SieveRetriever sieve(sharedDb());
-    const llm::GeneratorLlm gen(llm::BackendKind::Gpt4o);
-    const auto res = harness.evaluate(sieve, gen);
+    auto sieve = harnessEngine("sieve", llm::BackendKind::Gpt4o);
+    const auto res = harness.evaluate(sieve);
 
     ASSERT_EQ(res.records.size(), 100u);
     double cat_earned = 0.0, cat_max = 0.0;
@@ -414,15 +427,14 @@ TEST(HarnessTest, AggregationsAreConsistent)
 TEST(HarnessTest, CountFailsUnderSieveSucceedsUnderRanger)
 {
     const EvalHarness harness(sharedSuite());
-    const llm::GeneratorLlm gen(llm::BackendKind::Gpt4o);
 
-    retrieval::SieveRetriever sieve(sharedDb());
-    const auto res_sieve = harness.evaluate(sieve, gen);
+    auto sieve = harnessEngine("sieve", llm::BackendKind::Gpt4o);
+    const auto res_sieve = harness.evaluate(sieve);
     EXPECT_DOUBLE_EQ(
         res_sieve.by_category.at(Category::Count).pct(), 0.0);
 
-    retrieval::RangerRetriever ranger(sharedDb());
-    const auto res_ranger = harness.evaluate(ranger, gen);
+    auto ranger = harnessEngine("ranger", llm::BackendKind::Gpt4o);
+    const auto res_ranger = harness.evaluate(ranger);
     EXPECT_DOUBLE_EQ(
         res_ranger.by_category.at(Category::Count).pct(), 100.0);
 }
@@ -430,11 +442,10 @@ TEST(HarnessTest, CountFailsUnderSieveSucceedsUnderRanger)
 TEST(HarnessTest, EvaluationIsDeterministic)
 {
     const EvalHarness harness(sharedSuite());
-    const llm::GeneratorLlm gen(llm::BackendKind::Gpt4oMini);
-    retrieval::SieveRetriever s1(sharedDb());
-    retrieval::SieveRetriever s2(sharedDb());
-    const auto a = harness.evaluate(s1, gen);
-    const auto b = harness.evaluate(s2, gen);
+    auto s1 = harnessEngine("sieve", llm::BackendKind::Gpt4oMini);
+    auto s2 = harnessEngine("sieve", llm::BackendKind::Gpt4oMini);
+    const auto a = harness.evaluate(s1);
+    const auto b = harness.evaluate(s2);
     EXPECT_DOUBLE_EQ(a.weightedTotalPct(), b.weightedTotalPct());
     for (std::size_t i = 0; i < a.records.size(); ++i)
         EXPECT_EQ(a.records[i].grade.score, b.records[i].grade.score);

@@ -13,6 +13,7 @@
 #include "core/cachemind.hh"
 #include "db/builder.hh"
 #include "retrieval/ranger.hh"
+#include "retrieve_text.hh"
 
 using namespace cachemind;
 using namespace cachemind::core;
@@ -452,7 +453,7 @@ TEST(EngineTest, RangerFidelityKnobPlumbsThroughBuilder)
     retrieval::RangerRetriever direct(sharedDb(), cfg);
 
     const auto via_engine = engine.ask(q).expect("engine ask");
-    const auto via_direct = direct.retrieve(q);
+    const auto via_direct = retrieveText(direct, sharedDb(), q);
     EXPECT_EQ(via_engine.bundle.render(), via_direct.render());
     EXPECT_EQ(via_engine.bundle.generated_code,
               via_direct.generated_code);

@@ -14,6 +14,7 @@
 #include "llm/memory.hh"
 #include "retrieval/ranger.hh"
 #include "retrieval/sieve.hh"
+#include "retrieve_text.hh"
 
 using namespace cachemind;
 using namespace cachemind::llm;
@@ -166,7 +167,7 @@ TEST_P(GeneratorParamTest, AnswersAreDeterministic)
     retrieval::SieveRetriever sieve(sharedDb());
     const GeneratorLlm gen(GetParam());
     const auto gold = goldHitMiss();
-    const auto bundle = sieve.retrieve(gold.question);
+    const auto bundle = retrieveText(sieve, sharedDb(), gold.question);
     const auto a = gen.answer(bundle);
     const auto b = gen.answer(bundle);
     EXPECT_EQ(a.text, b.text);
@@ -179,7 +180,7 @@ TEST_P(GeneratorParamTest, GroundedHitMissUsesTheRow)
     retrieval::SieveRetriever sieve(sharedDb());
     const GeneratorLlm gen(GetParam());
     const auto gold = goldHitMiss();
-    const auto bundle = sieve.retrieve(gold.question);
+    const auto bundle = retrieveText(sieve, sharedDb(), gold.question);
     const auto answer = gen.answer(bundle);
     ASSERT_TRUE(answer.says_hit.has_value());
     // The verdict may be a profile-gated misread, but the answer must
@@ -194,7 +195,8 @@ TEST_P(GeneratorParamTest, ExactCountsAreAlwaysReported)
     const GeneratorLlm gen(GetParam());
     const auto *expert = sharedDb().statsFor("mcf_evictions_lru");
     const auto stats = expert->pcStats(0x4037aa);
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "How many times did PC 0x4037aa appear in the mcf workload "
         "under LRU?");
     const auto answer = gen.answer(bundle);
@@ -209,7 +211,8 @@ TEST_P(GeneratorParamTest, WindowCountsUndercount)
     const GeneratorLlm gen(GetParam());
     const auto *expert = sharedDb().statsFor("mcf_evictions_lru");
     const auto stats = expert->pcStats(0x4037aa);
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "How many times did PC 0x4037aa appear in the mcf workload "
         "under LRU?");
     const auto answer = gen.answer(bundle);
@@ -245,7 +248,8 @@ TEST(GeneratorTest, Gpt4oRejectsTrickPremise)
         }
     }
     ASSERT_NE(lbm_only, 0u);
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Does the memory access with PC " + str::hex(lbm_only) +
         " and address 0x1b73be82e3f result in a cache hit or cache "
         "miss for the mcf workload and LRU replacement policy?");
@@ -267,7 +271,8 @@ TEST(GeneratorTest, Gpt35AnswersTrickWithoutRejecting)
             break;
         }
     }
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Does the memory access with PC " + str::hex(lbm_only) +
         " and address 0x1b73be82e3f result in a cache hit or cache "
         "miss for the mcf workload and LRU replacement policy?");
@@ -280,7 +285,8 @@ TEST(GeneratorTest, ConceptAnswerDrawsFromKnowledgeBase)
 {
     retrieval::SieveRetriever sieve(sharedDb());
     const GeneratorLlm gen(BackendKind::Gpt4o);
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "How does increasing cache size affect miss rate? Compare "
         "increasing the number of sets vs the number of ways.");
     const auto answer = gen.answer(bundle);
@@ -293,7 +299,8 @@ TEST(GeneratorTest, CodeGenEmitsPython)
 {
     retrieval::SieveRetriever sieve(sharedDb());
     const GeneratorLlm gen(BackendKind::Gpt4o);
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Write code to compute the number of cache hits for PC "
         "0x4037aa and address 0x1b73be82e3f in the mcf workload under "
         "LRU.");
@@ -311,7 +318,7 @@ TEST(GeneratorTest, FewShotCopyingRequiresLowQualityContext)
     opts.shot_mode = ShotMode::OneShot;
     // High-quality context: no copying even for overreliant models.
     const auto gold = goldHitMiss();
-    const auto good_bundle = sieve.retrieve(gold.question);
+    const auto good_bundle = retrieveText(sieve, sharedDb(), gold.question);
     const auto answer = gen.answer(good_bundle, opts);
     EXPECT_FALSE(answer.copied_example);
 }
@@ -325,7 +332,8 @@ TEST(GeneratorTest, DisengagedAnswerIsMarked)
     // coverage = 0.6 over many question keys this must happen.
     bool saw_disengaged = false;
     for (int i = 0; i < 40 && !saw_disengaged; ++i) {
-        const auto bundle = sieve.retrieve(
+        const auto bundle = retrieveText(
+            sieve, sharedDb(),
             "Why does Belady outperform LRU on PC 0x4037aa in the mcf "
             "workload? (variant " + std::to_string(i) + ")");
         const auto answer = o3.answer(bundle);

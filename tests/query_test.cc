@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <iomanip>
 #include <random>
 #include <sstream>
 
@@ -17,6 +16,7 @@
 #include "query/dsl.hh"
 #include "query/parser.hh"
 #include "text/embedding.hh"
+#include "byte_mutations.hh"
 
 using namespace cachemind;
 using namespace cachemind::query;
@@ -348,21 +348,6 @@ mutateVocabulary(std::vector<std::string> names, Rng &rng)
     return names;
 }
 
-/** Printable form of a mutant for failure messages. */
-std::string
-escaped(const std::string &s)
-{
-    std::ostringstream os;
-    for (const unsigned char c : s) {
-        if (c >= 0x20 && c < 0x7f && c != '\\')
-            os << c;
-        else
-            os << "\\x" << std::hex << std::setw(2) << std::setfill('0')
-               << static_cast<int>(c) << std::dec;
-    }
-    return os.str();
-}
-
 /** A parser, and name indexes over the same vocabulary. */
 struct FuzzTarget
 {
@@ -397,10 +382,10 @@ checkMutant(const FuzzTarget &target, const std::string &text,
          {&target.workload_index, &target.policy_index}) {
         const auto got = index->rank(prepared);
         const auto want = text::rankNames(text, index->names(), embedder);
-        ASSERT_EQ(got.size(), want.size()) << escaped(text);
+        ASSERT_EQ(got.size(), want.size()) << fuzz::escaped(text);
         for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].name, want[i].name) << escaped(text);
-            ASSERT_EQ(got[i].score, want[i].score) << escaped(text);
+            ASSERT_EQ(got[i].name, want[i].name) << fuzz::escaped(text);
+            ASSERT_EQ(got[i].score, want[i].score) << fuzz::escaped(text);
         }
     }
 }

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "base/str.hh"
 #include "core/cachemind.hh"
 #include "db/builder.hh"
 #include "llm/registry.hh"
 #include "retrieval/registry.hh"
+#include "retrieve_text.hh"
 
 using namespace cachemind;
 using namespace cachemind::core;
@@ -39,18 +43,24 @@ contains(const std::vector<std::string> &names, const std::string &name)
     return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-/** Trivial custom retriever: echoes the query as its result text. */
+/**
+ * Trivial custom retriever: echoes the question as its result text,
+ * streamed as one "echo" evidence section.
+ */
 class EchoRetriever : public retrieval::Retriever
 {
   public:
     const char *name() const override { return "echo-test"; }
 
     retrieval::ContextBundle
-    retrieve(const std::string &query) override
+    retrieveParsed(const query::ParsedQuery &parsed,
+                   retrieval::EvidenceSink &sink) override
     {
         retrieval::ContextBundle bundle;
         bundle.retriever = name();
-        bundle.result_text = "echo: " + query;
+        bundle.result_text = "echo: " + parsed.raw;
+        if (sink.active())
+            sink.emit("echo", bundle.result_text);
         return bundle;
     }
 };
@@ -131,6 +141,37 @@ TEST(RetrieverRegistryTest, CustomRetrieverPlugsIntoEngine)
               std::string::npos);
 }
 
+TEST(RetrieverRegistryTest, CustomRetrieverStreamsWhatItEmits)
+{
+    // A custom retriever implements only retrieveParsed(parsed, sink):
+    // its stream carries exactly the sections it emits, and Done is
+    // byte-identical to a blocking ask.
+    registerCustomComponents();
+    auto engine = CacheMind::Builder(sharedDb())
+                      .withRetriever("echo-test")
+                      .build()
+                      .expect("echo engine");
+    const std::string question = "Any question at all?";
+    const auto want = engine.ask(question).expect("ask");
+
+    auto stream = engine.askStream(question).expect("askStream");
+    std::vector<std::pair<std::string, std::string>> chunks;
+    std::shared_ptr<const Response> got;
+    while (auto event = stream.next()) {
+        if (event->kind == StreamEvent::Kind::EvidenceChunk)
+            chunks.emplace_back(event->label, event->text);
+        if (event->kind == StreamEvent::Kind::Done)
+            got = event->response;
+    }
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->text, want.text);
+    EXPECT_EQ(got->bundle.render(), want.bundle.render());
+    EXPECT_EQ(got->answer.text, want.answer.text);
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks[0].first, "echo");
+    EXPECT_EQ(chunks[0].second, "echo: " + question);
+}
+
 TEST(RetrieverRegistryTest, CreateAcceptsShardSubsetView)
 {
     auto &registry = retrieval::RetrieverRegistry::instance();
@@ -141,7 +182,8 @@ TEST(RetrieverRegistryTest, CreateAcceptsShardSubsetView)
     ASSERT_FALSE(subset.empty());
     auto retriever = registry.create("sieve", subset);
     ASSERT_NE(retriever, nullptr);
-    const auto bundle = retriever->retrieve(
+    const auto bundle = retrieveText(
+        *retriever, subset,
         "What is the miss rate in the astar workload under LRU?");
     EXPECT_EQ(bundle.trace_key, "astar_evictions_lru");
 }

@@ -31,6 +31,7 @@
 #include "retrieval/ranger.hh"
 #include "retrieval/secondary_tier.hh"
 #include "retrieval/sieve.hh"
+#include "retrieve_text.hh"
 
 using namespace cachemind;
 using namespace cachemind::retrieval;
@@ -75,7 +76,8 @@ TEST(SieveTest, ExactTupleRetrievesMatchingRows)
 {
     SieveRetriever sieve(sharedDb());
     const auto known = knownAccess("mcf_evictions_lru");
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Does the memory access with PC " + str::hex(known.pc) +
         " and address " + str::hex(known.address) +
         " result in a cache hit or cache miss for the mcf workload "
@@ -95,7 +97,8 @@ TEST(SieveTest, EvidenceWindowIsBounded)
     cfg.evidence_window = 3;
     SieveRetriever sieve(sharedDb(), cfg);
     // The arc-scan PC has tens of thousands of rows.
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "What is the miss rate for PC 0x4037aa in the mcf workload "
         "with LRU?");
     EXPECT_LE(bundle.rows.size(), 3u);
@@ -106,7 +109,8 @@ TEST(SieveTest, CrossWorkloadPremiseViolationDetected)
 {
     SieveRetriever sieve(sharedDb());
     // astar's queue PC does not exist in mcf.
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Does the memory access with PC 0x409538 and address "
         "0x1b73be82e3f result in a cache hit or cache miss for the "
         "mcf workload and LRU replacement policy?");
@@ -119,7 +123,8 @@ TEST(SieveTest, CrossWorkloadPremiseViolationDetected)
 TEST(SieveTest, UnresolvedWorkloadYieldsLowQuality)
 {
     SieveRetriever sieve(sharedDb());
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "What is the miss rate for PC 0x400512 in the gzip workload "
         "under LRU?");
     EXPECT_TRUE(bundle.trace_key.empty());
@@ -129,7 +134,8 @@ TEST(SieveTest, UnresolvedWorkloadYieldsLowQuality)
 TEST(SieveTest, PolicyComparisonGathersAllPolicies)
 {
     SieveRetriever sieve(sharedDb());
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Which policy has the lowest miss rate in the mcf workload?");
     ASSERT_EQ(bundle.policy_numbers.size(), 2u); // lru + belady
     EXPECT_NE(bundle.policy_numbers[0].policy,
@@ -140,7 +146,8 @@ TEST(SieveTest, ExplainBundleIsRich)
 {
     SieveRetriever sieve(sharedDb());
     const auto known = knownAccess("mcf_evictions_lru");
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Why does Belady outperform LRU on PC " + str::hex(known.pc) +
         " in the mcf workload?");
     EXPECT_FALSE(bundle.metadata.empty());
@@ -153,7 +160,8 @@ TEST(SieveTest, ExplainBundleIsRich)
 TEST(SieveTest, SetStatsQueriesReturnHotAndCold)
 {
     SieveRetriever sieve(sharedDb());
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Identify 5 hot and 5 cold sets by hit rate for the astar "
         "workload under LRU.");
     EXPECT_EQ(bundle.set_stats.size(), 10u);
@@ -166,7 +174,8 @@ TEST(RangerTest, GeneratesCodeAndComputesExactCount)
     const auto stats = expert->pcStats(0x4037aa);
     ASSERT_TRUE(stats.has_value());
 
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "How many times did PC 0x4037aa appear in the mcf workload "
         "under LRU?");
     EXPECT_TRUE(bundle.total_is_exact);
@@ -180,7 +189,8 @@ TEST(RangerTest, GeneratesCodeAndComputesExactCount)
 TEST(RangerTest, ArithmeticUsesExecutedProgram)
 {
     RangerRetriever ranger(sharedDb());
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "What is the average evicted reuse distance of PC 0x4037aa "
         "for the mcf workload with LRU?");
     ASSERT_TRUE(bundle.computed.has_value());
@@ -190,7 +200,8 @@ TEST(RangerTest, ArithmeticUsesExecutedProgram)
 TEST(RangerTest, PremiseDetectionOnEmptyExactMatch)
 {
     RangerRetriever ranger(sharedDb());
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "Does the memory access with PC 0x409538 and address "
         "0x1b73be82e3f result in a cache hit or cache miss for the "
         "mcf workload and LRU replacement policy?");
@@ -202,13 +213,15 @@ TEST(RangerTest, LowFidelityCorruptsPrograms)
     RangerConfig cfg;
     cfg.codegen_fidelity = 0.0; // always mis-generate
     RangerRetriever ranger(sharedDb(), cfg);
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "What is the average evicted reuse distance of PC 0x4037aa "
         "for the mcf workload with LRU?");
     // The corrupted program still runs but computes something else;
     // compare against the faithful value.
     RangerRetriever faithful(sharedDb());
-    const auto good = faithful.retrieve(
+    const auto good = retrieveText(
+        faithful, sharedDb(),
         "What is the average evicted reuse distance of PC 0x4037aa "
         "for the mcf workload with LRU?");
     ASSERT_TRUE(good.computed.has_value());
@@ -220,7 +233,8 @@ TEST(RangerTest, ExplainBundleIsNarrow)
 {
     RangerRetriever ranger(sharedDb());
     const auto known = knownAccess("mcf_evictions_lru");
-    const auto bundle = ranger.retrieve(
+    const auto bundle = retrieveText(
+        ranger, sharedDb(),
         "Why does Belady outperform LRU on PC " + str::hex(known.pc) +
         " in the mcf workload?");
     // The §6.2 crossover mechanism: no descriptive context.
@@ -237,7 +251,8 @@ TEST(LlamaIndexTest, RetrievesPlausibleButImpreciseChunks)
     EXPECT_GT(llama.indexedChunks(), 100u);
 
     const auto known = knownAccess("mcf_evictions_lru", 5);
-    const auto bundle = llama.retrieve(
+    const auto bundle = retrieveText(
+        llama, sharedDb(),
         "Does the memory access with PC " + str::hex(known.pc) +
         " and address " + str::hex(known.address) +
         " result in a cache hit or cache miss for the mcf workload "
@@ -274,8 +289,8 @@ TEST_P(RetrieverParamTest, RetrievalIsDeterministic)
     const std::string q =
         "What is the miss rate for PC 0x4037aa in the mcf workload "
         "with LRU?";
-    const auto a = r1->retrieve(q);
-    const auto b = r2->retrieve(q);
+    const auto a = retrieveText(*r1, sharedDb(), q);
+    const auto b = retrieveText(*r2, sharedDb(), q);
     EXPECT_EQ(a.trace_key, b.trace_key);
     EXPECT_EQ(a.rows.size(), b.rows.size());
     EXPECT_EQ(a.result_text, b.result_text);
@@ -285,7 +300,8 @@ TEST_P(RetrieverParamTest, RetrievalIsDeterministic)
 TEST_P(RetrieverParamTest, RendersNonEmptyContext)
 {
     auto retriever = make();
-    const auto bundle = retriever->retrieve(
+    const auto bundle = retrieveText(
+        *retriever, sharedDb(),
         "Which policy has the lowest miss rate in the mcf workload?");
     EXPECT_FALSE(bundle.render().empty());
     EXPECT_EQ(bundle.retriever, std::string(GetParam()));
@@ -300,7 +316,8 @@ TEST(ContextBundleTest, RenderContainsKeySections)
 {
     SieveRetriever sieve(sharedDb());
     const auto known = knownAccess("mcf_evictions_lru");
-    const auto bundle = sieve.retrieve(
+    const auto bundle = retrieveText(
+        sieve, sharedDb(),
         "Does the memory access with PC " + str::hex(known.pc) +
         " and address " + str::hex(known.address) +
         " result in a cache hit or cache miss for the mcf workload "
@@ -340,28 +357,6 @@ taggedBundle(const std::string &tag)
 }
 
 } // namespace
-
-TEST_P(RetrieverParamTest, RetrieveParsedMatchesStringShim)
-{
-    // The string overload is now a parsing shim: retrieveParsed on
-    // the engine-level parse must assemble the identical bundle.
-    const auto parser = sharedParser();
-    const std::vector<std::string> questions = {
-        "What is the miss rate for PC 0x4037aa in the mcf workload "
-        "with LRU?",
-        "Which policy has the lowest miss rate in the mcf workload?",
-        "Why does Belady outperform LRU in the mcf workload?",
-    };
-    for (const auto &q : questions) {
-        auto via_string = make();
-        auto via_parsed = make();
-        const auto a = via_string->retrieve(q);
-        const auto b = via_parsed->retrieveParsed(parser.parse(q));
-        EXPECT_EQ(a.render(), b.render()) << q;
-        EXPECT_EQ(a.trace_key, b.trace_key) << q;
-        EXPECT_EQ(a.parsed.raw, b.parsed.raw) << q;
-    }
-}
 
 TEST(CacheKeyTest, SieveSharesAcrossPhrasingsOfTheSameSlots)
 {
@@ -1010,8 +1005,8 @@ TEST(IndexedRetrievalTest, SieveBundlesByteIdenticalToScanPath)
         "Why does Belady outperform LRU in the mcf workload?",
     };
     for (const auto &q : questions) {
-        const auto a = indexed.retrieve(q);
-        const auto b = scanner.retrieve(q);
+        const auto a = retrieveText(indexed, sharedDb(), q);
+        const auto b = retrieveText(scanner, sharedDb(), q);
         EXPECT_EQ(a.render(), b.render()) << q;
         EXPECT_EQ(a.premise_note, b.premise_note) << q;
         EXPECT_EQ(a.values, b.values) << q;
@@ -1045,8 +1040,8 @@ TEST(IndexedRetrievalTest, RangerBundlesByteIdenticalToScanPath)
         "List all unique PCs in the mcf workload under LRU.",
     };
     for (const auto &q : questions) {
-        const auto a = indexed.retrieve(q);
-        const auto b = scanner.retrieve(q);
+        const auto a = retrieveText(indexed, sharedDb(), q);
+        const auto b = retrieveText(scanner, sharedDb(), q);
         EXPECT_EQ(a.render(), b.render()) << q;
         EXPECT_EQ(a.generated_code, b.generated_code) << q;
         EXPECT_EQ(a.result_text, b.result_text) << q;

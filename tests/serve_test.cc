@@ -22,8 +22,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "base/stopwatch.hh"
 #include "base/str.hh"
 #include "core/cachemind.hh"
@@ -36,6 +38,7 @@
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "byte_mutations.hh"
 
 using namespace cachemind;
 using namespace cachemind::core;
@@ -225,6 +228,108 @@ TEST(ProtocolTest, EventFramesParseBackWithEscapedPayloads)
     EXPECT_EQ(frame->at("id"), "7");
     EXPECT_EQ(frame->at("label"), "slice");
     EXPECT_EQ(frame->at("text"), event.text);
+}
+
+TEST(ProtocolTest, NonFiniteDeadlinesAreRefusedAndRenderParsesBack)
+{
+    // "inf" and 1e400 were accepted, and then rendered as a bare inf
+    // that parseRequest refused as malformed JSON.
+    for (const char *bad :
+         {"{\"op\":\"ask\",\"question\":\"q\",\"deadline_ms\":\"inf\"}",
+          "{\"op\":\"ask\",\"question\":\"q\",\"deadline_ms\":\"nan\"}",
+          "{\"op\":\"ask\",\"question\":\"q\",\"deadline_ms\":1e400}"}) {
+        std::string why;
+        EXPECT_FALSE(parseRequest(bad, &why).has_value()) << bad;
+        EXPECT_NE(why.find("deadline_ms"), std::string::npos) << why;
+    }
+    // Budgets past 2^63 and fractions keep their exact value.
+    for (const double ms : {1e13, 1e19, 1e300, 0.1, 1e-7, 2.5}) {
+        Request req;
+        req.question = "q";
+        req.deadline_ms = ms;
+        const auto parsed = parseRequest(renderRequest(req));
+        ASSERT_TRUE(parsed.has_value()) << renderRequest(req);
+        EXPECT_EQ(parsed->deadline_ms, ms) << renderRequest(req);
+    }
+    // A "last" count past 2^63 or not a number is refused.
+    for (const char *bad : {"{\"op\":\"trace\",\"last\":1e19}",
+                            "{\"op\":\"trace\",\"last\":\"nan\"}",
+                            "{\"op\":\"trace\",\"last\":1e400}"}) {
+        std::string why;
+        EXPECT_FALSE(parseRequest(bad, &why).has_value()) << bad;
+        EXPECT_NE(why.find("last"), std::string::npos) << why;
+    }
+}
+
+namespace {
+
+/** Request lines shaped like those of these tests and chaos_smoke.py. */
+const std::vector<std::string> kRequestSeeds = {
+    "{\"op\":\"ask\",\"id\":\"7\",\"question\":\"What is the miss rate "
+    "for PC 0x409270 in the astar workload with LRU?\",\"retriever\":"
+    "\"sieve\",\"backend\":\"gpt-4o\",\"deadline_ms\":250,"
+    "\"request_id\":\"req-42\",\"params\":{\"evidence_window\":\"4\"}}",
+    "{\"op\": \"ask\", \"id\": \"c3-1\", \"question\": \"Why does Belady "
+    "outperform LRU in the astar workload?\", \"retriever\": \"ranger\", "
+    "\"deadline_ms\": 40}",
+    "{\"op\":\"ask\",\"id\":\"1\",\"question\":\"Why \\\"quoted\\\"\\nand "
+    "newlined?\",\"params\":{\"fidelity\":\"0.6\",\"row_stride\":\"16\"}}",
+    "{\"op\":\"stats\",\"id\":\"8\"}",
+    "{\"op\":\"ping\",\"id\":\"9\"}",
+    "{\"op\": \"failpoints\", \"id\": \"arm\", \"spec\": "
+    "\"serve.read=drop@0.05,db.index_build=error#1\"}",
+    "{\"op\":\"trace\",\"id\":\"11\",\"request_id\":\"req-42\"}",
+    "{\"op\":\"trace\",\"id\":\"12\",\"last\":4,\"filter\":\"bad\"}",
+};
+
+/**
+ * parseRequest must not crash on `line`; if it accepts the line, the
+ * request must survive renderRequest and parseRequest field for field.
+ */
+void
+checkRequestLine(const std::string &line)
+{
+    std::string why;
+    const auto req = parseRequest(line, &why);
+    if (!req) {
+        EXPECT_FALSE(why.empty()) << fuzz::escaped(line);
+        return;
+    }
+    const std::string rendered = renderRequest(*req);
+    const auto back = parseRequest(rendered, &why);
+    ASSERT_TRUE(back.has_value())
+        << fuzz::escaped(line) << " rendered as " << fuzz::escaped(rendered)
+        << ": " << why;
+    const auto fields = [](const Request &r) {
+        return std::tie(r.op, r.id, r.request_id, r.question, r.retriever,
+                        r.backend, r.deadline_ms, r.params,
+                        r.failpoint_spec, r.trace_last, r.trace_filter);
+    };
+    ASSERT_TRUE(fields(*req) == fields(*back))
+        << fuzz::escaped(line) << " rendered as "
+        << fuzz::escaped(rendered);
+}
+
+} // namespace
+
+TEST(ProtocolFuzzTest, TruncatedRequestLinesParseOrExplain)
+{
+    for (const auto &seed : kRequestSeeds) {
+        for (std::size_t n = 0; n <= seed.size() && !HasFailure(); ++n)
+            checkRequestLine(seed.substr(0, n));
+    }
+}
+
+TEST(ProtocolFuzzTest, MutatedRequestLinesRoundTrip)
+{
+    Rng rng(0x5e7eULL);
+    for (int i = 0; i < 20000 && !HasFailure(); ++i) {
+        std::string line =
+            kRequestSeeds[rng.nextBelow(kRequestSeeds.size())];
+        for (auto n = 1 + rng.nextBelow(4); n > 0; --n)
+            fuzz::mutateOnce(line, rng);
+        checkRequestLine(line);
+    }
 }
 
 // ------------------------------------------------------------ worker pool
@@ -529,6 +634,44 @@ TEST(ServerTest, ConcurrentClientsMatchBlockingAskAllRetrievers)
     }
     // The shared cache coalesced repeated questions across sessions.
     EXPECT_GT(stats.engine.cache.hits, 0u);
+    server.stop();
+}
+
+TEST(ServerTest, HugeDeadlinesAnswerAndNonFiniteOnesAreRefused)
+{
+    // A budget past the clock's range once expired at once, so a
+    // client that asked for more time was cut off.
+    Server server(sharedDb(), ServeOptions{});
+    ASSERT_TRUE(server.start());
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(expectHello(client));
+    const std::string question = suiteQuestions()[0];
+    const auto terminal = [&](const std::string &budget) {
+        const std::string line =
+            "{\"op\":\"ask\",\"id\":\"d\",\"question\":\"" +
+            jsonEscape(question) + "\",\"deadline_ms\":" + budget + "}";
+        if (!client.sendLine(line))
+            return std::string("send failed");
+        while (auto reply = client.recvLine()) {
+            const auto frame = parseJsonObject(*reply);
+            if (!frame)
+                return std::string("malformed frame");
+            const std::string kind = frame->at("frame");
+            if (kind == "error")
+                return kind + ": " + frame->at("message");
+            if (kind == "done" || kind == "deadline_exceeded")
+                return kind;
+        }
+        return std::string("connection closed");
+    };
+    for (const char *budget : {"\"inf\"", "\"nan\"", "1e400"}) {
+        const auto got = terminal(budget);
+        EXPECT_EQ(got.rfind("error: bad \"deadline_ms\"", 0), 0u)
+            << budget << " -> " << got;
+    }
+    for (const char *budget : {"1e13", "1e300"})
+        EXPECT_EQ(terminal(budget), "done") << budget;
     server.stop();
 }
 

@@ -480,7 +480,8 @@ class ThrowingRetriever final : public retrieval::Retriever
     const char *name() const override { return "thrower"; }
 
     retrieval::ContextBundle
-    retrieve(const std::string &) override
+    retrieveParsed(const query::ParsedQuery &,
+                   retrieval::EvidenceSink &) override
     {
         throw std::runtime_error("retriever exploded");
     }
