@@ -60,11 +60,10 @@ SCHEDULES = [
     "serve.read=drop@{p_read},serve.lease=delay:25,"
     "retrieve.section=delay:10@0.5",
     "retrieve.section=delay:30@0.6,serve.write=drop@{p_write}",
-    # Pipeline-interior faults: the worker-pool job and the stream
-    # push path throw InjectedFault, which the session must surface
-    # as a typed "error" frame (never a hang or a torn stream).
-    "core.worker_pool.task=error@0.25,core.stream.push=error@0.15,"
-    "retrieve.section=delay:10@0.3",
+    # Pipeline-interior faults: the event hand-off throws
+    # InjectedFault, which the session must surface as a typed "error"
+    # frame (never a hang or a torn stream).
+    "core.stream.push=error@0.15,retrieve.section=delay:10@0.3",
 ]
 
 

@@ -13,9 +13,6 @@ namespace cachemind::fail {
 
 namespace {
 
-/** Count of armed sites; the disarmed fast path loads only this. */
-std::atomic<std::uint64_t> g_armed_sites{0};
-
 /** Total fired faults across all sites. */
 std::atomic<std::uint64_t> g_injected_total{0};
 
@@ -27,7 +24,8 @@ struct SiteState {
 
 struct Registry {
     std::mutex mu;
-    std::map<std::string, SiteState> sites;
+    // std::less<> lets a site be looked up by its std::string_view.
+    std::map<std::string, SiteState, std::less<>> sites;
 };
 
 Registry &
@@ -122,9 +120,9 @@ armLocked(Registry &r, const std::string &site, const FailSpec &spec)
     const bool now_armed = spec.action != Action::Off;
     state.spec = spec;
     if (was_armed && !now_armed)
-        g_armed_sites.fetch_sub(1, std::memory_order_relaxed);
+        detail::armed_sites.fetch_sub(1, std::memory_order_relaxed);
     else if (!was_armed && now_armed)
-        g_armed_sites.fetch_add(1, std::memory_order_relaxed);
+        detail::armed_sites.fetch_add(1, std::memory_order_relaxed);
 }
 
 /** Reads CACHEMIND_FAILPOINTS once at process start. */
@@ -141,17 +139,11 @@ const EnvArm g_env_arm{};
 
 } // namespace
 
-bool
-anyArmed()
-{
-    return g_armed_sites.load(std::memory_order_relaxed) != 0;
-}
-
 std::size_t
 armedCount()
 {
     return static_cast<std::size_t>(
-        g_armed_sites.load(std::memory_order_relaxed));
+        detail::armed_sites.load(std::memory_order_relaxed));
 }
 
 void
@@ -196,7 +188,7 @@ disarmAll()
     for (auto &[site, state] : r.sites) {
         if (state.spec.action != Action::Off) {
             state.spec = FailSpec{};
-            g_armed_sites.fetch_sub(1, std::memory_order_relaxed);
+            detail::armed_sites.fetch_sub(1, std::memory_order_relaxed);
         }
     }
 }
@@ -219,37 +211,30 @@ injectedBySite()
     return out;
 }
 
-std::optional<Hit>
-evaluate(const std::string &site)
-{
-    if (!anyArmed())
-        return std::nullopt;
-    return detail::evaluateArmed(site);
-}
-
 namespace detail {
 
 std::optional<Hit>
-evaluateArmed(const std::string &site)
+evaluateArmed(std::string_view site)
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mu);
     auto it = r.sites.find(site);
     if (it == r.sites.end())
         return std::nullopt;
+    const std::string &name = it->first;
     SiteState &state = it->second;
     const std::uint64_t hit_no = state.hits++;
     if (state.spec.action == Action::Off)
         return std::nullopt;
     if (state.spec.probability < 1.0 &&
-        keyedUniform(hashCombine(fnv1a(site), hit_no)) >=
+        keyedUniform(hashCombine(fnv1a(name), hit_no)) >=
             state.spec.probability)
         return std::nullopt;
     Hit hit{state.spec.action, state.spec.arg};
     ++state.fired;
     g_injected_total.fetch_add(1, std::memory_order_relaxed);
     if (state.spec.max_hits != 0 && state.fired >= state.spec.max_hits)
-        armLocked(r, site, FailSpec{});
+        armLocked(r, name, FailSpec{});
     return hit;
 }
 
@@ -261,7 +246,7 @@ sleepMs(std::uint64_t ms)
 }
 
 void
-corruptBytes(const std::string &site, std::string &bytes,
+corruptBytes(std::string_view site, std::string &bytes,
              std::uint64_t flips)
 {
     if (bytes.empty())
@@ -272,7 +257,8 @@ corruptBytes(const std::string &site, std::string &bytes,
     bytes.resize(bytes.size() / 2);
     if (bytes.empty())
         return;
-    const std::uint64_t key = hashCombine(fnv1a(site), bytes.size());
+    const std::uint64_t key =
+        hashCombine(fnv1a(std::string(site)), bytes.size());
     for (std::uint64_t i = 0; i < flips; ++i) {
         const std::size_t pos =
             keyedPick(hashCombine(key, i), bytes.size());

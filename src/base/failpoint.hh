@@ -5,10 +5,10 @@
  * A failpoint is a named site in production code where a test (or an
  * operator chasing a bug) can inject a fault: throw an error, sleep for
  * N milliseconds, corrupt a byte buffer, or drop a connection. Sites
- * are compiled in unconditionally — the disarmed fast path is a single
- * relaxed atomic load of a global armed-site counter, so planting a
- * failpoint on a hot path costs nothing measurable until someone arms
- * it.
+ * are compiled in unconditionally — the disarmed fast path is one
+ * inline relaxed load of a global armed-site counter and allocates
+ * nothing, so planting a failpoint on a hot path costs nothing
+ * measurable until someone arms it.
  *
  * Arming
  * ------
@@ -48,6 +48,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cachemind::fail {
 
@@ -93,8 +94,17 @@ struct Hit {
     std::uint64_t arg = 0;
 };
 
+namespace detail {
+/** Count of armed sites; the disarmed fast path loads only this. */
+inline std::atomic<std::uint64_t> armed_sites{0};
+} // namespace detail
+
 /** True when at least one site is armed (one relaxed atomic load). */
-bool anyArmed();
+inline bool
+anyArmed()
+{
+    return detail::armed_sites.load(std::memory_order_relaxed) != 0;
+}
 
 /** Number of currently armed sites. */
 std::size_t armedCount();
@@ -122,17 +132,11 @@ std::uint64_t injectedTotal();
 /** Faults fired per site since process start. */
 std::map<std::string, std::uint64_t> injectedBySite();
 
-/**
- * Evaluate a site: bump its hit counter and, if the site is armed and
- * the deterministic draw fires, return the action to perform. Callers
- * normally use the maybe* wrappers below instead.
- */
-std::optional<Hit> evaluate(const std::string &site);
-
 namespace detail {
-std::optional<Hit> evaluateArmed(const std::string &site);
+/** Bump `site`'s hit counter; the action to perform if it fires. */
+std::optional<Hit> evaluateArmed(std::string_view site);
 void sleepMs(std::uint64_t ms);
-void corruptBytes(const std::string &site, std::string &bytes,
+void corruptBytes(std::string_view site, std::string &bytes,
                   std::uint64_t flips);
 } // namespace detail
 
@@ -141,7 +145,7 @@ void corruptBytes(const std::string &site, std::string &bytes,
  * Other actions are ignored at this site.
  */
 inline void
-maybeThrow(const std::string &site)
+maybeThrow(std::string_view site)
 {
     if (!anyArmed())
         return;
@@ -149,7 +153,7 @@ maybeThrow(const std::string &site)
         if (hit->action == Action::Delay)
             detail::sleepMs(hit->arg);
         else if (hit->action == Action::Error)
-            throw InjectedFault(site);
+            throw InjectedFault(std::string(site));
     }
 }
 
@@ -159,7 +163,7 @@ maybeThrow(const std::string &site)
  * stream as dead).
  */
 inline bool
-maybeDrop(const std::string &site)
+maybeDrop(std::string_view site)
 {
     if (!anyArmed())
         return false;
@@ -174,7 +178,7 @@ maybeDrop(const std::string &site)
 
 /** Site helper: honor Delay only (sleep, then proceed). */
 inline void
-maybeDelay(const std::string &site)
+maybeDelay(std::string_view site)
 {
     if (!anyArmed())
         return;
@@ -190,7 +194,7 @@ maybeDelay(const std::string &site)
  * reliably rejects the buffer), and Delay by sleeping.
  */
 inline void
-maybeCorrupt(const std::string &site, std::string &bytes)
+maybeCorrupt(std::string_view site, std::string &bytes)
 {
     if (!anyArmed())
         return;

@@ -162,7 +162,7 @@ makeEvent(StreamEvent::Kind kind, std::uint32_t span)
 } // namespace
 
 /**
- * The one sink of a pipeline run. With a channel it pushes every
+ * The one sink of a pipeline run. With an event sink it pushes every
  * StreamEvent — stage boundaries, evidence sections, answer deltas —
  * and keeps the counts EngineStats.stream reports; when the request
  * is traced each evidence section also becomes a "section:<label>"
@@ -174,35 +174,37 @@ makeEvent(StreamEvent::Kind kind, std::uint32_t span)
 class CacheMind::PipelineSink final : public retrieval::EvidenceSink
 {
   public:
-    PipelineSink(StreamChannel *channel, const Deadline &deadline)
-        : channel_(channel)
+    PipelineSink(EventSink *events, const Deadline &deadline)
+        : events_(events)
     {
         setDeadline(deadline);
     }
 
-    bool streaming() const { return channel_ != nullptr; }
+    bool streaming() const { return events_ != nullptr; }
 
     /**
      * Push one event. Emission is counted even if the consumer has
-     * cancelled — the pipeline's shape does not depend on whether
-     * anyone is still listening — but a refused push on a cancelled
-     * channel then unwinds the run, so generation also stops
-     * streaming into a dead channel.
+     * gone — the pipeline's shape does not depend on whether anyone
+     * is still listening — but a refused push then unwinds the run,
+     * so generation also stops streaming to a dead consumer.
      */
     void
     push(StreamEvent event)
     {
+        // Chaos site on every consumer's hand-off, before the event
+        // leaves: a typed failure, never a torn delta sequence.
+        fail::maybeThrow("core.stream.push");
         if (first_event_ms_ < 0.0)
             first_event_ms_ = clock_.milliseconds();
-        ++events_;
+        ++pushed_;
         chunks_ += event.kind == StreamEvent::Kind::EvidenceChunk;
         deltas_ += event.kind == StreamEvent::Kind::AnswerDelta;
-        // Time in push is dominated by backpressure waits on a full
-        // buffer (consumer pacing), not by answering work.
+        // Time in push is the consumer's: backpressure waits on a full
+        // channel, or a session's socket write, not answering work.
         Stopwatch push_timer;
-        const bool accepted = channel_->push(std::move(event));
+        const bool accepted = events_->push(std::move(event));
         blocked_ms_ += push_timer.milliseconds();
-        if (!accepted && channel_->cancelled())
+        if (!accepted)
             throw retrieval::StreamCancelled{};
     }
 
@@ -218,20 +220,20 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
     emit(const std::string &label, const std::string &text) override
     {
         const std::uint32_t span = sectionSpan("section:" + label);
-        if (channel_)
+        if (events_)
             pushChunk(label, text, span);
     }
 
-    bool active() const override { return tc_ || channel_; }
+    bool active() const override { return tc_ || events_; }
 
-    // The channel's consumer-side cancel is the pipeline's cooperative
-    // cancellation token: retrievers polling the sink between evidence
+    // The event sink's cancelled() is the pipeline's cooperative
+    // cancellation token: retrievers polling it between evidence
     // sections observe a dropped AnswerStream / disconnected serving
     // session and abandon the rest of the retrieval.
     bool
     cancelled() const override
     {
-        return channel_ && channel_->cancelled();
+        return events_ && events_->cancelled();
     }
 
     /**
@@ -250,7 +252,7 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
         if (sections_ == 0) {
             const std::uint32_t span =
                 sectionSpan(std::string("section:") + outcome);
-            if (hit && channel_)
+            if (hit && events_)
                 pushChunk("cached", evidence.render(), span);
         }
         if (evidence.degraded) {
@@ -259,14 +261,14 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
         }
     }
 
-    /** Wall time spent inside channel pushes so far. */
+    /** Wall time spent inside event pushes so far. */
     double blockedMs() const { return blocked_ms_; }
 
     void
     recordStream(EngineStatsRecorder &stats) const
     {
         stats.recordStream(first_event_ms_ < 0.0 ? 0.0 : first_event_ms_,
-                           events_, chunks_, deltas_);
+                           pushed_, chunks_, deltas_);
     }
 
   private:
@@ -294,14 +296,14 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
         push(std::move(event));
     }
 
-    StreamChannel *channel_;
+    EventSink *events_;
     obs::TraceContext tc_;
     std::uint64_t mark_ = 0;
     std::uint64_t sections_ = 0;
     Stopwatch clock_;
     double first_event_ms_ = -1.0;
     double blocked_ms_ = 0.0;
-    std::uint64_t events_ = 0;
+    std::uint64_t pushed_ = 0;
     std::uint64_t chunks_ = 0;
     std::uint64_t deltas_ = 0;
 };
@@ -330,8 +332,8 @@ CacheMind::retrieveStage(retrieval::Retriever &retriever,
     } else {
         // Streams and deadline-capped runs stay outside the
         // single-flight protocol. A stream computing under the
-        // in-flight claim would push chunks into a consumer-paced
-        // channel, letting one paused consumer block every blocking
+        // in-flight claim would push chunks to a consumer-paced sink,
+        // letting one paused consumer block every blocking
         // ask() coalescing on the key (including through a
         // cross-engine shared cache). A deadline-capped retrieval may
         // come back degraded, and a degraded bundle must neither be
@@ -390,10 +392,10 @@ CacheMind::runPipeline(retrieval::Retriever &retriever,
                        const RequestContext &ctx,
                        const query::ParsedQuery *upstream,
                        const Deadline &deadline,
-                       StreamChannel *channel) const
+                       EventSink *events) const
 {
     Stopwatch timer;
-    PipelineSink sink(channel, deadline);
+    PipelineSink sink(events, deadline);
     const obs::TraceContext tc{ctx.trace, ctx.trace_parent};
     obs::SpanScope root(tc, "ask");
     const obs::TraceContext rtc = tc.child(root.id());
@@ -451,9 +453,8 @@ CacheMind::runPipeline(retrieval::Retriever &retriever,
 
     // Close the root span and stamp the outcome before Done goes on
     // the wire: a consumer that has observed Done may render the
-    // trace at once. First writer wins — the serve layer's terminal
-    // decision (deadline_exceeded, overloaded) may already have
-    // landed while the pipeline was finishing; never downgrade it.
+    // trace at once. First writer wins: never overwrite an outcome
+    // the caller has already decided.
     root.end();
     if (ctx.trace) {
         if (ctx.trace->outcome().empty())
@@ -504,6 +505,33 @@ Result<Response, EngineError>
 CacheMind::ask(const std::string &question)
 {
     return ask(RequestContext(question));
+}
+
+Result<Response, EngineError>
+CacheMind::ask(const RequestContext &ctx, EventSink &events)
+{
+    if (str::trim(ctx.question).empty()) {
+        return EngineError{EngineErrorCode::EmptyQuestion,
+                           "question is empty"};
+    }
+    return streamPipeline(ctx, resolveDeadline(ctx.deadline_ms), events);
+}
+
+Response
+CacheMind::streamPipeline(const RequestContext &ctx,
+                          const Deadline &deadline,
+                          EventSink &events) const
+{
+    try {
+        return runPipeline(*retriever_, ctx, nullptr, deadline, &events);
+    } catch (const retrieval::StreamCancelled &) {
+        // The consumer went away: control flow, not failure, and no
+        // latency sample. Keep any outcome the consumer decided.
+        if (ctx.trace && ctx.trace->outcome().empty())
+            ctx.trace->setOutcome("cancelled");
+        stats_->recordStreamCancelled();
+        throw;
+    }
 }
 
 Result<Response, EngineError>
@@ -654,17 +682,10 @@ CacheMind::askStream(const RequestContext &ctx)
             // never waits behind a serial lazy index build (no-op once
             // warm).
             warmup();
-            runPipeline(*retriever_, ctx, nullptr, deadline,
-                        channel.get());
+            streamPipeline(ctx, deadline, *channel);
         } catch (const retrieval::StreamCancelled &) {
-            // The consumer went away (AnswerStream::cancel, a dropped
-            // serving connection): control flow, not failure. No
-            // latency sample — the pipeline was cut short. The trace
-            // outcome stays whatever the consumer side decided
-            // (deadline_exceeded, cancelled); only fill a default.
-            if (ctx.trace && ctx.trace->outcome().empty())
-                ctx.trace->setOutcome("cancelled");
-            stats_->recordStreamCancelled();
+            // The consumer dropped the stream; streamPipeline counted
+            // it and nobody is left to tell.
         } catch (...) {
             if (ctx.trace && ctx.trace->outcome().empty())
                 ctx.trace->setOutcome("error");

@@ -14,8 +14,9 @@
  * key); the retrieve stage serves the evidence bundle from a shared,
  * thread-safe cross-question RetrievalCache before the generator
  * answers from it. A streamed run pushes an event at every stage
- * boundary into a StreamChannel; a blocking run is the same pipeline
- * with no channel.
+ * boundary into an EventSink — the caller's own (ask(ctx, sink)) or
+ * askStream's StreamChannel; a blocking run is the same pipeline with
+ * no sink.
  *
  * Components are referenced by registry name (see
  * retrieval::RetrieverRegistry and llm::BackendRegistry): new
@@ -267,6 +268,18 @@ class CacheMind
     Result<Response, EngineError> ask(const std::string &question);
 
     /**
+     * Push-style ask (the serve layer's): run the pipeline on the
+     * calling thread and hand `events` every event askStream would
+     * yield; the Response equals blocking ask()'s. A refused push, or
+     * events.cancelled() between evidence sections, unwinds the run
+     * with retrieval::StreamCancelled, rethrown once counted in
+     * stats().stream.cancelled. Like ask(), it never calls warmup();
+     * like askStream, it stays off the cache's single-flight path.
+     */
+    Result<Response, EngineError> ask(const RequestContext &ctx,
+                                      EventSink &events);
+
+    /**
      * Answer an already-parsed question. This is the pipeline entry
      * for callers that parse (or augment) upstream — ChatSession
      * sharpens under-specified follow-ups at the slot level and hands
@@ -297,15 +310,16 @@ class CacheMind
 
     /**
      * Streaming ask: run the pipeline as a job on the engine's worker
-     * pool and return a pull-style AnswerStream that yields an event
-     * as each stage completes — Parsed, Planned, one EvidenceChunk per
-     * section the retriever assembles, AnswerDelta fragments during
-     * generation, and a terminal Done whose Response is byte-identical
-     * to a blocking ask() of the same question. Streamed retrieval
-     * still goes through the shared RetrievalCache (a hit streams the
-     * cached bundle as one chunk). The first streaming call warms
-     * every shard's postings index in parallel (see warmup()), so the
-     * first event never waits behind a serial index build.
+     * pool, with a StreamChannel as its event sink, and return a
+     * pull-style AnswerStream that yields an event as each stage
+     * completes — Parsed, Planned, one EvidenceChunk per section the
+     * retriever assembles, AnswerDelta fragments during generation,
+     * and a terminal Done whose Response is byte-identical to a
+     * blocking ask() of the same question. Streamed retrieval still
+     * goes through the shared RetrievalCache (a hit streams the cached
+     * bundle as one chunk). The first streaming call warms every
+     * shard's postings index in parallel (see warmup()), so the first
+     * event never waits behind a serial index build.
      *
      * The stream counts as the engine's one in-flight call: consume
      * (or drop) it before the next ask()/askBatch()/askStream(), and
@@ -359,7 +373,7 @@ class CacheMind
               std::unique_ptr<retrieval::Retriever> retriever,
               std::unique_ptr<llm::GeneratorLlm> generator);
 
-    /** A run's evidence sink and channel end (defined in the .cc). */
+    /** A run's evidence sink and event hand-off (defined in the .cc). */
     class PipelineSink;
 
     // ------------------------------------------------------ pipeline
@@ -372,19 +386,28 @@ class CacheMind
     /**
      * Run one request through every stage: the root "ask" span, parse
      * (skipped when `upstream` is the caller's parsed query), plan,
-     * retrieve, generate, trace finish and stats recording. With a
-     * `channel`, every stage boundary, evidence section and answer
-     * delta is also pushed as a StreamEvent, and the time spent
-     * blocked in those pushes (consumer pacing) is left out of the
-     * recorded latency; without one this is the blocking form.
-     * Failures propagate to the caller, StreamCancelled included,
-     * and record no latency sample.
+     * retrieve, generate, trace finish and stats recording. With an
+     * `events` sink, every stage boundary, evidence section and answer
+     * delta is also pushed as a StreamEvent, and the time spent inside
+     * those pushes (consumer pacing) is left out of the recorded
+     * latency; without one this is the blocking form. Failures
+     * propagate to the caller, StreamCancelled included, and record
+     * no latency sample.
      */
     Response runPipeline(retrieval::Retriever &retriever,
                          const RequestContext &ctx,
                          const query::ParsedQuery *upstream,
                          const Deadline &deadline,
-                         StreamChannel *channel) const;
+                         EventSink *events) const;
+
+    /**
+     * runPipeline on the primary retriever with `events`; a
+     * StreamCancelled is counted (stats, trace outcome "cancelled")
+     * and rethrown. Shared by ask(ctx, sink) and askStream's job.
+     */
+    Response streamPipeline(const RequestContext &ctx,
+                            const Deadline &deadline,
+                            EventSink &events) const;
 
     /**
      * Stage 2: derive the cross-question cache key for this
@@ -401,7 +424,7 @@ class CacheMind
      * runs peek and publish instead. The sink carries the deadline,
      * records section spans and the cache-tier outcome (hot_hit /
      * secondary_promote / miss / single_flight_wait / bypass) when
-     * traced, and streams the evidence when a channel is attached.
+     * traced, and streams the evidence when an event sink is attached.
      */
     std::shared_ptr<const retrieval::ContextBundle>
     retrieveStage(retrieval::Retriever &retriever,

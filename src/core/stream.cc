@@ -1,6 +1,5 @@
 #include "core/stream.hh"
 
-#include "base/failpoint.hh"
 #include "base/logging.hh"
 #include "core/cachemind.hh"
 
@@ -27,13 +26,6 @@ StreamChannel::StreamChannel(std::size_t capacity)
 bool
 StreamChannel::push(StreamEvent event)
 {
-    // Failpoint for the channel-internals path, evaluated before the
-    // lock (a Delay must not stall consumers, and an Error must not
-    // unwind while holding the mutex). An injected error propagates
-    // through the producer's push into the pipeline's exception
-    // barrier, surfacing as a typed channel failure — never a torn
-    // delta sequence on a surviving stream.
-    fail::maybeThrow("core.stream.push");
     std::unique_lock<std::mutex> lock(mu_);
     can_push_.wait(lock, [this] {
         return cancelled_ || closed_ || buffer_.size() < capacity_;
@@ -53,29 +45,6 @@ StreamChannel::pop()
     can_pop_.wait(lock, [this] {
         return cancelled_ || closed_ || !buffer_.empty();
     });
-    if (buffer_.empty())
-        return std::nullopt; // closed or cancelled, fully drained
-    StreamEvent event = std::move(buffer_.front());
-    buffer_.pop_front();
-    can_push_.notify_one();
-    return event;
-}
-
-std::optional<StreamEvent>
-StreamChannel::popUntil(std::chrono::steady_clock::time_point at,
-                        bool *timed_out)
-{
-    if (timed_out)
-        *timed_out = false;
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool ready = can_pop_.wait_until(lock, at, [this] {
-        return cancelled_ || closed_ || !buffer_.empty();
-    });
-    if (!ready) {
-        if (timed_out)
-            *timed_out = true;
-        return std::nullopt;
-    }
     if (buffer_.empty())
         return std::nullopt; // closed or cancelled, fully drained
     StreamEvent event = std::move(buffer_.front());
@@ -217,32 +186,6 @@ AnswerStream::next()
         // Drained without Done: the pipeline failed. Surface the
         // worker's exception here, exactly as blocking ask() would
         // have thrown it.
-        if (auto error = channel_->error())
-            std::rethrow_exception(error);
-        return std::nullopt;
-    }
-    if (event->kind == StreamEvent::Kind::Done)
-        done_ = event->response;
-    return event;
-}
-
-std::optional<StreamEvent>
-AnswerStream::nextBefore(const Deadline &deadline, bool *expired)
-{
-    if (expired)
-        *expired = false;
-    if (!deadline.finite())
-        return next();
-    if (!channel_ || done_)
-        return std::nullopt;
-    bool timed_out = false;
-    auto event = channel_->popUntil(deadline.timePoint(), &timed_out);
-    if (!event) {
-        if (timed_out) {
-            if (expired)
-                *expired = true;
-            return std::nullopt;
-        }
         if (auto error = channel_->error())
             std::rethrow_exception(error);
         return std::nullopt;

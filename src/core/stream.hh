@@ -1,9 +1,9 @@
 /**
  * @file
- * The async streaming answer subsystem: StreamEvent (one unit of
- * pipeline progress), StreamChannel (a bounded multi-producer /
- * single-consumer event queue), and AnswerStream (the pull-style
- * consumer handle returned by CacheMind::askStream).
+ * The streaming answer subsystem: StreamEvent (one unit of pipeline
+ * progress), EventSink (where a run hands its events), StreamChannel
+ * (a bounded MPSC event queue, askStream's sink), and AnswerStream
+ * (the pull-style consumer handle returned by CacheMind::askStream).
  *
  * The staged ask() pipeline — parse, plan, retrieve, generate — emits
  * an event as each stage completes: the parsed slots, the derived
@@ -13,17 +13,17 @@
  * results become visible, never *what* is answered: the Done response
  * is byte-identical to a blocking ask() for the same question.
  *
- * The channel is the serving-side latency lever: the first evidence
- * section reaches the consumer while the retriever is still
- * assembling the rest of the bundle and before generation starts, so
- * interactive "why did this line get evicted?" sessions see evidence
- * on screen at a fraction of the full-answer latency.
+ * A blocking run has no event sink. CacheMind::ask(ctx, sink) runs
+ * the pipeline on the caller's thread; askStream runs it on a pooled
+ * worker into a StreamChannel. Either way the first evidence section
+ * reaches the consumer while the retriever is still assembling the
+ * rest, so interactive "why did this line get evicted?" sessions see
+ * evidence at a fraction of the full-answer latency.
  */
 
 #ifndef CACHEMIND_CORE_STREAM_HH
 #define CACHEMIND_CORE_STREAM_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -33,7 +33,6 @@
 #include <optional>
 #include <string>
 
-#include "base/deadline.hh"
 #include "query/parsed_query.hh"
 
 namespace cachemind::core {
@@ -82,6 +81,20 @@ struct StreamEvent
 const char *streamEventKindName(StreamEvent::Kind kind);
 
 /**
+ * Where a pipeline run hands its events, on the pipeline's thread.
+ * push() returning false means the consumer is gone, and the engine
+ * unwinds the run with retrieval::StreamCancelled; cancelled() is
+ * polled between evidence sections, so a silent run stops too.
+ */
+class EventSink
+{
+  public:
+    virtual ~EventSink() = default;
+    virtual bool push(StreamEvent event) = 0;
+    virtual bool cancelled() const = 0;
+};
+
+/**
  * Bounded MPSC event channel: producers push, one consumer pops.
  * push() applies backpressure (blocks while the buffer is full) so a
  * slow consumer bounds producer memory; pop() blocks until an event,
@@ -94,7 +107,7 @@ const char *streamEventKindName(StreamEvent::Kind kind);
  * return false immediately, so producers never block on a consumer
  * that went away.
  */
-class StreamChannel
+class StreamChannel final : public EventSink
 {
   public:
     explicit StreamChannel(std::size_t capacity = 64);
@@ -107,19 +120,10 @@ class StreamChannel
      * Returns false (dropping the event) once the channel is
      * cancelled or closed.
      */
-    bool push(StreamEvent event);
+    bool push(StreamEvent event) override;
 
     /** Consumer: blocking pop; nullopt once closed and drained. */
     std::optional<StreamEvent> pop();
-
-    /**
-     * Consumer: pop with a wall-clock bound. Returns nullopt with
-     * *timed_out = true when `at` passes before an event arrives (the
-     * channel is untouched — the serving layer uses this to cut a
-     * stream that blew its deadline with a typed frame).
-     */
-    std::optional<StreamEvent>
-    popUntil(std::chrono::steady_clock::time_point at, bool *timed_out);
 
     /** Consumer: non-blocking pop; nullopt when nothing is buffered. */
     std::optional<StreamEvent> tryPop();
@@ -143,7 +147,7 @@ class StreamChannel
     void cancel();
 
     bool closed() const;
-    bool cancelled() const;
+    bool cancelled() const override;
     std::size_t capacity() const { return capacity_; }
 
     /** Events accepted by push() over the channel's lifetime. */
@@ -211,15 +215,6 @@ class AnswerStream
     std::optional<StreamEvent> next();
 
     /**
-     * next() bounded by a deadline: when the deadline passes before
-     * the next event arrives, returns nullopt with *expired = true and
-     * leaves the stream intact (the caller decides whether to cancel).
-     * An infinite deadline behaves exactly like next().
-     */
-    std::optional<StreamEvent> nextBefore(const Deadline &deadline,
-                                          bool *expired);
-
-    /**
      * Drain to completion and return the final response —
      * byte-identical to a blocking ask() of the same question
      * (rethrowing its failure if the pipeline threw). Events already
@@ -236,8 +231,7 @@ class AnswerStream
      * cooperative cancellation token trips at its next emission
      * point, reclaiming in-flight retrieval work) and wait for the
      * pipeline job to retire. Subsequent next() calls return nullopt.
-     * This is the serving-side disconnect path; destruction calls it
-     * implicitly.
+     * Destruction calls it implicitly.
      */
     void cancel();
 

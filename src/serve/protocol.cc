@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "base/str.hh"
 #include "core/cachemind.hh"
@@ -44,6 +45,41 @@ jsonNumber(double v)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
+}
+
+/**
+ * `s` as a number, if JSON's number grammar spells it: str::parseDouble
+ * alone also takes spaces, a trailing '%', hex floats and text after an
+ * embedded NUL.
+ */
+std::optional<double>
+parseJsonNumber(const std::string &s)
+{
+    std::size_t i = 0;
+    // Consume one character of `set` at i, if there is one.
+    const auto take = [&](const char *set) {
+        const bool hit = i < s.size() && s[i] != '\0' &&
+                         std::strchr(set, s[i]) != nullptr;
+        i += hit;
+        return hit;
+    };
+    const auto digits = [&] {
+        const std::size_t from = i;
+        while (take("0123456789")) {
+        }
+        return i > from;
+    };
+    take("-");
+    bool ok = take("0") || digits();
+    if (take("."))
+        ok = ok && digits();
+    if (take("eE")) {
+        take("+-");
+        ok = ok && digits();
+    }
+    if (!ok || i != s.size())
+        return std::nullopt;
+    return str::parseDouble(s);
 }
 
 /** Cursor over one protocol line (no JSON library dependency). */
@@ -249,7 +285,7 @@ parseRequest(const std::string &line, std::string *error)
     if (!last.empty()) {
         // A whole number in [0, 2^63), checked before the cast below
         // (undefined out of range); NaN fails the range check.
-        const auto parsed = str::parseDouble(last);
+        const auto parsed = parseJsonNumber(last);
         if (!parsed || !(*parsed >= 0.0 && *parsed < std::ldexp(1.0, 63)) ||
             *parsed != std::floor(*parsed)) {
             if (error)
@@ -260,7 +296,7 @@ parseRequest(const std::string &line, std::string *error)
     }
     const std::string deadline = get("deadline_ms");
     if (!deadline.empty()) {
-        const auto parsed = str::parseDouble(deadline);
+        const auto parsed = parseJsonNumber(deadline);
         if (!parsed || !(std::isfinite(*parsed) && *parsed >= 0.0)) {
             if (error)
                 *error = "bad \"deadline_ms\" value '" + deadline + "'";

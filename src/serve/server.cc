@@ -125,6 +125,65 @@ struct LatencyReservoir
     }
 };
 
+/**
+ * The event sink of one served ask: the pipeline runs on the session
+ * thread and each event goes out as a frame when it is pushed, so the
+ * socket is the only backpressure — a slow reader blocks its own
+ * session and nothing else. A push is refused once the client is dead
+ * or the hard cut (deadline + slack) has passed; retrievers also poll
+ * cancelled() between evidence sections.
+ */
+struct FrameSink final : core::EventSink
+{
+    FrameSink(int fd, const Request &req, const Deadline &hard_cut,
+              const obs::TraceContext &tc, const Stopwatch &timer)
+        : fd(fd), req(req), hard_cut(hard_cut), tc(tc), timer(timer)
+    {
+    }
+
+    bool
+    push(core::StreamEvent event) override
+    {
+        if (hard_cut.expired())
+            return false;
+        {
+            obs::SpanScope write(tc, "write");
+            dead = !sendFrame(fd, eventFrame(req.id, event, req.request_id));
+        }
+        if (dead)
+            return false;
+        if (ttfe_ms < 0.0) {
+            ttfe_ms = timer.milliseconds();
+            if (tc.trace) {
+                // TTFE attribution: the stage whose span the first
+                // event was emitted under.
+                std::string stage = tc.trace->spanName(event.span);
+                if (stage.empty())
+                    stage = core::streamEventKindName(event.kind);
+                tc.trace->annotate(tc.parent, "ttfe_stage", stage);
+            }
+        }
+        last_kind = event.kind;
+        degraded = event.response && event.response->bundle.degraded;
+        return true;
+    }
+
+    bool cancelled() const override { return dead || hard_cut.expired(); }
+
+    const int fd;
+    const Request &req;
+    const Deadline hard_cut;
+    const obs::TraceContext tc;
+    const Stopwatch &timer;
+    /** A frame write failed: the client is gone. */
+    bool dead = false;
+    /** Set from the Done event, the last one pushed. */
+    bool degraded = false;
+    double ttfe_ms = -1.0;
+    /** Which stage the request was last seen in. */
+    std::optional<core::StreamEvent::Kind> last_kind;
+};
+
 } // namespace
 
 struct Server::Impl
@@ -487,7 +546,6 @@ Server::Impl::acquireEngine(const Request &req, std::string &key_out,
         req.backend.empty() ? opts.default_backend : req.backend;
     eopts.retriever_params = req.params;
     eopts.build_threads = opts.engine_build_threads;
-    eopts.stream_buffer = opts.stream_buffer;
     eopts.tokens_per_second = opts.tokens_per_second;
     eopts.shared_retrieval_cache = shared_cache;
     if (!shared_cache)
@@ -681,101 +739,53 @@ Server::Impl::handleAsk(int fd, const Request &req)
     ctx.request_id = req.request_id;
     ctx.trace = trace;
     ctx.trace_parent = root;
-    auto result = engine->askStream(ctx);
-    if (!result.ok()) {
-        releaseEngine(key, engine);
-        finish("error");
-        return sendFrame(fd,
-                         errorFrame(req.id,
-                                    core::engineErrorCodeName(
-                                        result.error().code),
-                                    result.error().message,
-                                    req.request_id));
-    }
-    auto stream = std::move(result).value();
-
-    // Frame-by-frame relay: write each frame before popping the next
-    // event, so a slow client's backpressure lands in this session's
-    // bounded StreamChannel (stalling only its own pipeline worker).
-    double ttfe_ms = -1.0;
-    bool client_alive = true;
-    bool saw_done = false;
-    bool deadline_hit = false;
-    bool degraded = false;
-    // Which pipeline stage the request was last seen in — events carry
-    // the span they were emitted under, so TTFE and a deadline cut can
-    // both be attributed to a stage instead of a wall-clock shrug.
-    auto last_kind = std::optional<core::StreamEvent::Kind>();
+    FrameSink sink(fd, req, hard_cut, obs::TraceContext{trace, root},
+                   timer);
+    // Any pipeline failure becomes a typed error frame, never a torn
+    // connection.
+    bool cut = false;
+    std::string failure_code, failure;
     try {
-        for (;;) {
-            bool expired = false;
-            auto event = stream.nextBefore(hard_cut, &expired);
-            if (expired) {
-                deadline_hit = true;
-                break;
-            }
-            if (!event)
-                break;
-            bool sent = false;
-            {
-                obs::SpanScope write(obs::TraceContext{trace, root},
-                                     "write");
-                sent = sendFrame(
-                    fd, eventFrame(req.id, *event, req.request_id));
-            }
-            if (!sent) {
-                client_alive = false;
-                break;
-            }
-            if (ttfe_ms < 0.0) {
-                ttfe_ms = timer.milliseconds();
-                if (trace) {
-                    // TTFE attribution: the stage whose span the
-                    // first event was emitted under.
-                    std::string stage = trace->spanName(event->span);
-                    if (stage.empty())
-                        stage = core::streamEventKindName(event->kind);
-                    trace->annotate(root, "ttfe_stage", stage);
-                }
-            }
-            last_kind = event->kind;
-            if (event->kind == core::StreamEvent::Kind::Done) {
-                saw_done = true;
-                degraded = event->response &&
-                           event->response->bundle.degraded;
-            }
+        auto result = engine->ask(ctx, sink);
+        if (!result.ok()) {
+            failure_code = core::engineErrorCodeName(result.error().code);
+            failure = result.error().message;
         }
+    } catch (const retrieval::StreamCancelled &) {
+        cut = true;
     } catch (const std::exception &e) {
-        // Pipeline failure (what blocking ask() would have thrown):
-        // reported as an error frame, never a torn connection.
-        stream.cancel();
-        releaseEngine(key, engine);
-        finish("error");
-        return sendFrame(fd, errorFrame(req.id, "pipeline", e.what(),
-                                        req.request_id));
+        failure_code = "pipeline";
+        failure = e.what();
     } catch (...) {
-        stream.cancel();
-        releaseEngine(key, engine);
+        failure_code = "pipeline";
+        failure = "unknown pipeline failure";
+    }
+    releaseEngine(key, engine);
+
+    if (!failure_code.empty()) {
         finish("error");
-        return sendFrame(fd, errorFrame(req.id, "pipeline",
-                                        "unknown pipeline failure",
+        return sendFrame(fd, errorFrame(req.id, failure_code, failure,
                                         req.request_id));
     }
-
-    if (deadline_hit) {
+    if (cut && sink.dead) {
+        // Dead client mid-stream: the refused push already reclaimed
+        // the in-flight retrieval; close the connection.
+        finish("cancelled");
+        std::lock_guard<std::mutex> lock(stats_mu);
+        ++cancelled;
+        return false;
+    }
+    if (cut) {
         // The pipeline blew through deadline + slack without reaching
-        // its terminal event: cancel it (the engine's cooperative
-        // token reclaims the worker) and tell the client with a typed
-        // terminal frame instead of leaving it to time out on its own.
-        stream.cancel();
-        releaseEngine(key, engine);
+        // its terminal event: tell the client with a typed terminal
+        // frame instead of leaving it to time out on its own.
         if (trace) {
             // The stage the cut landed in, inferred from the last
             // event that made it out of the pipeline.
             using Kind = core::StreamEvent::Kind;
             const char *stage = "parse";
-            if (last_kind) {
-                switch (*last_kind) {
+            if (sink.last_kind) {
+                switch (*sink.last_kind) {
                   case Kind::Parsed: stage = "plan"; break;
                   case Kind::Planned:
                   case Kind::EvidenceChunk: stage = "retrieve"; break;
@@ -793,24 +803,8 @@ Server::Impl::handleAsk(int fd, const Request &req)
         ++deadline_exceeded;
         return alive;
     }
-    if (!client_alive || !saw_done) {
-        // Dead client mid-stream (or a stream that ended without its
-        // terminal event): cancel so the engine's cooperative
-        // cancellation token reclaims the in-flight retrieval work,
-        // and close the connection — a still-listening client must
-        // see EOF rather than wait forever for a terminal frame.
-        stream.cancel();
-        releaseEngine(key, engine);
-        finish("cancelled");
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++cancelled;
-        }
-        return false;
-    }
-    releaseEngine(key, engine);
-    finish(degraded ? "degraded" : "done");
-    recordAsk(retriever_name, std::max(ttfe_ms, 0.0),
+    finish(sink.degraded ? "degraded" : "done");
+    recordAsk(retriever_name, std::max(sink.ttfe_ms, 0.0),
               timer.milliseconds());
     return true;
 }

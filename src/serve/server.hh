@@ -19,15 +19,15 @@
  * can never alias each other's bundles, while concurrent sessions
  * asking about the same trace slice assemble its evidence once.
  *
- * Backpressure: a session writes a frame to the socket before
- * popping the next event, so a slow client fills its own bounded
- * StreamChannel and stalls only its own pipeline worker. Nothing in
- * that path holds a lock or a cache in-flight claim (streams use the
- * cache's non-blocking peek/publish protocol), so one paused client
- * cannot stall other sessions or blocking ask() callers coalescing
- * on a hot cache key. A dead client (failed write) cancels the
- * stream; the engine's cooperative cancellation token then reclaims
- * the in-flight retrieval.
+ * Each ask runs the engine pipeline on its session thread
+ * (CacheMind::ask with an event sink), writing each event as a frame
+ * when it is produced. Backpressure is the socket: a slow client
+ * blocks its own session's write and nothing else. Nothing in that
+ * path holds a lock or a cache in-flight claim (a run with a sink
+ * uses the cache's non-blocking peek/publish protocol), so one paused
+ * client cannot stall other sessions or blocking ask() callers
+ * coalescing on a hot cache key. A dead client (failed write) refuses
+ * the next event, which unwinds the pipeline and its retrieval.
  */
 
 #ifndef CACHEMIND_SERVE_SERVER_HH
@@ -55,8 +55,6 @@ struct ServeOptions
     /** Engine defaults for requests that name no component. */
     std::string default_retriever = "sieve";
     std::string default_backend = "gpt-4o";
-    /** Per-stream channel capacity (events; backpressure bound). */
-    std::size_t stream_buffer = 64;
     /**
      * Engine-pool bound per (retriever, backend, params) key: at most
      * this many engines are ever built for one configuration; further
@@ -81,9 +79,9 @@ struct ServeOptions
      */
     std::size_t retrieval_cache_secondary_bytes = 16u << 20;
     /**
-     * SO_SNDBUF for accepted sockets (0 = kernel default). Tests
-     * shrink it so a deliberately slow client exercises channel
-     * backpressure instead of hiding behind kernel buffering.
+     * SO_SNDBUF for accepted sockets (0 = kernel default): a session's
+     * only buffer between its pipeline and a slow client. Tests shrink
+     * it so a deliberately slow client exercises that backpressure.
      */
     int session_send_buffer = 0;
     /**
@@ -112,7 +110,8 @@ struct ServeOptions
      * engine itself degrades at the deadline proper (partial evidence,
      * answer marked degraded); the slack gives that in-engine
      * resolution time to produce a terminal done frame, so the hard
-     * cut only fires when the pipeline is truly wedged.
+     * cut only fires when the pipeline is truly wedged; it is checked
+     * at the pipeline's next event or poll between evidence sections.
      */
     double deadline_slack_ms = 250.0;
     /**

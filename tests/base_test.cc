@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for src/base: strings, deterministic RNG, statistics,
- * deadlines.
+ * deadlines, failpoint specs and disarmed failpoint sites. This binary
+ * replaces the global operator new to count heap allocations.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,36 @@
 namespace cm = cachemind;
 namespace str = cachemind::str;
 namespace stats = cachemind::stats;
+
+namespace {
+
+/** Heap allocations made through operator new in this process. */
+std::atomic<std::size_t> g_allocations{0};
+
+} // namespace
+
+// The array and nothrow forms forward to these. The deletes stay out
+// of line so that no caller sees a new expression paired with free().
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 TEST(StrTest, ToLowerAndTrim)
 {
@@ -131,6 +165,27 @@ TEST(FailpointSpecTest, NanProbabilityIsRefused)
     }
     EXPECT_EQ(cm::fail::armedCount(), 0u);
     cm::fail::disarmAll();
+}
+
+TEST(FailpointSiteTest, DisarmedHelpersAllocateNothing)
+{
+    // A disarmed site is one relaxed load: no std::string is built
+    // from the name, even one past the 15-byte small-string buffer.
+    cm::fail::disarmAll();
+    ASSERT_FALSE(cm::fail::anyArmed());
+    std::string bytes = "payload";
+    bool dropped = false;
+    const std::size_t before = g_allocations.load();
+    for (int i = 0; i < 1000; ++i) {
+        cm::fail::maybeThrow("core.stream.push");
+        dropped |= cm::fail::maybeDrop("serve.write.site.name");
+        cm::fail::maybeDelay("retrieve.section");
+        cm::fail::maybeCorrupt("cache.secondary.decode", bytes);
+    }
+    const std::size_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_FALSE(dropped);
+    EXPECT_EQ(bytes, "payload");
 }
 
 namespace {

@@ -5,8 +5,9 @@
  * (base_test). Modelled on query_test's ParserFuzzTest helpers: bit
  * flips, byte insertions and deletions, runs of NUL and 0x80-0xff
  * bytes, digit runs of 20 or more, the number spellings that break
- * naive range checks, and duplicated comma-separated fields (a JSON
- * member or a spec entry, so keys and sites repeat). Every draw comes
+ * naive range checks or naive number readers, and duplicated
+ * comma-separated fields (a JSON member or a spec entry, so keys and
+ * sites repeat). Every draw comes
  * from the caller's seeded Rng, so a run is reproducible. query_test
  * prints its own mutants with escaped() too.
  */
@@ -23,10 +24,16 @@
 
 namespace fuzz {
 
-/** Number spellings that range checks written with < and > let by. */
+/**
+ * Number spellings that range checks written with < and > let by, and
+ * ones that strtod-based readers take although JSON does not: a
+ * trailing '%', hex, padding, and text after an escaped NUL.
+ */
 inline const char *const kNumberSpellings[] = {
     "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0", "1e-400",
     "\"nan\"", "\"inf\"", "\"1e400\"", "9223372036854775808",
+    "\"250%\"", "\"0x1p3\"", "\"0x10\"", "\"5\\u0000junk\"", "\" 7 \"",
+    "007",
 };
 
 /** One random mutation of `s` at a random position. */

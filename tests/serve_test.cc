@@ -261,6 +261,44 @@ TEST(ProtocolTest, NonFiniteDeadlinesAreRefusedAndRenderParsesBack)
     }
 }
 
+TEST(ProtocolTest, NumbersOutsideTheJsonGrammarAreRefused)
+{
+    // str::parseDouble trims spaces, strips a trailing '%', reads hex
+    // floats and stops at an embedded NUL, so each of these once
+    // became a real budget or count.
+    const auto ask = [](const std::string &value) {
+        return "{\"op\":\"ask\",\"question\":\"q\",\"deadline_ms\":" +
+               value + "}";
+    };
+    for (const char *value :
+         {"\"250%\"", "\"0x1p3\"", "\"5\\u0000junk\"", "\" 7 \"", "\"007\"",
+          "\"1.\"", "\".5\"", "\"+3\"", "\"1e\""}) {
+        std::string why;
+        EXPECT_FALSE(parseRequest(ask(value), &why).has_value()) << value;
+        EXPECT_NE(why.find("deadline_ms"), std::string::npos) << why;
+    }
+    for (const char *value : {"\"4%\"", "\"0x10\"", "\" 2\""}) {
+        const std::string line =
+            std::string("{\"op\":\"trace\",\"last\":") + value + "}";
+        std::string why;
+        EXPECT_FALSE(parseRequest(line, &why).has_value()) << value;
+        EXPECT_NE(why.find("last"), std::string::npos) << why;
+    }
+    // The grammar's own spellings still parse, quoted or bare.
+    const std::vector<std::pair<std::string, double>> good = {
+        {"250", 250.0},  {"\"250\"", 250.0}, {"0.5", 0.5},
+        {"2.5e1", 25.0}, {"1E+2", 100.0},    {"-0", 0.0}};
+    for (const auto &[value, ms] : good) {
+        const auto req = parseRequest(ask(value));
+        ASSERT_TRUE(req.has_value()) << value;
+        EXPECT_EQ(req->deadline_ms, ms) << value;
+    }
+    const auto trace =
+        parseRequest("{\"op\":\"trace\",\"last\":\"16\"}");
+    ASSERT_TRUE(trace.has_value());
+    EXPECT_EQ(trace->trace_last, 16u);
+}
+
 namespace {
 
 /** Request lines shaped like those of these tests and chaos_smoke.py. */
@@ -932,11 +970,11 @@ TEST(ServerTest, AdmissionControlRejectsWithTypedOverloadedFrame)
 
 TEST(ServerTest, SlowConsumerDoesNotStallOtherSessions)
 {
-    // The slow session's paced, tiny-buffered stream must stall only
-    // its own pipeline worker: a concurrent fast session (separate
-    // engine lease) completes while the slow one is still dribbling.
+    // The slow session's paced stream, behind a tiny socket buffer,
+    // must stall only its own session: a concurrent fast session
+    // (separate engine lease) completes while the slow one is still
+    // dribbling.
     ServeOptions opts;
-    opts.stream_buffer = 1;
     opts.tokens_per_second = 150.0; // slow decode => long stream
     opts.session_send_buffer = 1024;
     Server server(sharedDb(), opts);
@@ -952,8 +990,8 @@ TEST(ServerTest, SlowConsumerDoesNotStallOtherSessions)
     req.question = questions[3];
     req.retriever = "sieve";
     ASSERT_TRUE(slow.sendLine(renderRequest(req)));
-    // Do not read the slow stream yet: its channel and socket buffer
-    // fill, and its pipeline worker parks on backpressure.
+    // Do not read the slow stream yet: its socket buffer fills, and
+    // its session parks on backpressure.
 
     std::atomic<bool> fast_done{false};
     std::thread fast([&] {
@@ -988,7 +1026,6 @@ TEST(ServerTest, SlowConsumerDoesNotStallOtherSessions)
 TEST(ServerTest, MidStreamDisconnectCancelsRetrievalWork)
 {
     ServeOptions opts;
-    opts.stream_buffer = 1;
     opts.tokens_per_second = 100.0; // keep the stream alive for long
     Server server(sharedDb(), opts);
     ASSERT_TRUE(server.start());
@@ -1014,8 +1051,9 @@ TEST(ServerTest, MidStreamDisconnectCancelsRetrievalWork)
         client.close();
     }
 
-    // The dead client surfaces on the session's next write; the
-    // session cancels the stream and the engine records it.
+    // The dead client surfaces on the session's next write, which
+    // refuses the event; the pipeline unwinds and the engine records
+    // the cancellation.
     bool cancelled = false;
     for (int i = 0; i < 500 && !cancelled; ++i) {
         const auto stats = server.stats();

@@ -7,7 +7,10 @@
  * Done answer with blocking ask() across all three retrievers with
  * the retrieval cache on and off, evidence streaming on cache hits, a
  * paused stream never blocking a blocking ask() on the same cache
- * key, and the streaming statistics counters.
+ * key, the streaming statistics counters, and the push-style
+ * ask(ctx, sink) — the same events as askStream, a consumer that goes
+ * away unwinding the run as cancelled, and a paused sink never
+ * blocking a blocking ask() on the same key.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "base/str.hh"
@@ -582,4 +586,215 @@ TEST(AskStreamTest, PausedStreamNeverBlocksABlockingAskOnTheSameKey)
     EXPECT_TRUE(answered) << "blocking ask() waited on a paused stream";
     const Response blocked = pending.get().expect("blocking ask");
     EXPECT_EQ(blocked.text, streamed.text);
+}
+
+namespace {
+
+/**
+ * An EventSink that records what it accepts. It refuses the push
+ * numbered `refuse_at` (1-based; 0 = never), and with
+ * `cancel_after_overview` reports itself cancelled once the overview
+ * evidence chunk has arrived.
+ */
+class RecordingSink final : public EventSink
+{
+  public:
+    explicit RecordingSink(std::size_t refuse_at = 0,
+                           bool cancel_after_overview = false)
+        : refuse_at_(refuse_at),
+          cancel_after_overview_(cancel_after_overview)
+    {
+    }
+
+    bool
+    push(StreamEvent event) override
+    {
+        if (++offered_ == refuse_at_)
+            return false;
+        saw_overview_ |= event.kind == StreamEvent::Kind::EvidenceChunk &&
+                         event.label == "overview";
+        events.push_back(std::move(event));
+        return true;
+    }
+
+    bool
+    cancelled() const override
+    {
+        return cancel_after_overview_ && saw_overview_;
+    }
+
+    std::vector<StreamEvent> events;
+
+  private:
+    const std::size_t refuse_at_;
+    const bool cancel_after_overview_;
+    std::size_t offered_ = 0;
+    bool saw_overview_ = false;
+};
+
+/** What a consumer can tell events apart by. */
+std::vector<std::tuple<StreamEvent::Kind, std::string, std::string,
+                       std::string>>
+eventKeys(const std::vector<StreamEvent> &events)
+{
+    std::vector<std::tuple<StreamEvent::Kind, std::string, std::string,
+                           std::string>>
+        keys;
+    for (const auto &e : events)
+        keys.emplace_back(e.kind, e.label, e.text, e.cache_key);
+    return keys;
+}
+
+} // namespace
+
+TEST(AskStreamTest, PushAskEmitsWhatAskStreamYields)
+{
+    // ask(ctx, sink) runs the pipeline on the calling thread: the sink
+    // must see exactly the events askStream yields on a twin engine,
+    // and the returned Response must be the blocking answer. Each
+    // question is asked twice so the cache-on runs stream a hit too.
+    const auto questions = suiteQuestions();
+    for (const std::string retriever :
+         {"sieve", "ranger", "llamaindex"}) {
+        for (const std::size_t capacity : {0, 1024}) {
+            auto pushing = engineWith(retriever, capacity);
+            auto streaming = engineWith(retriever, capacity);
+            auto blocking = engineWith(retriever, capacity);
+            for (int round = 0; round < 2; ++round) {
+                for (const auto &question : questions) {
+                    SCOPED_TRACE(retriever + " cache=" +
+                                 std::to_string(capacity) + " " +
+                                 question);
+                    RecordingSink sink;
+                    const Response got =
+                        pushing.ask(RequestContext(question), sink)
+                            .expect("push ask");
+                    auto stream =
+                        streaming.askStream(question).expect("stream");
+                    const auto streamed = drain(stream);
+                    EXPECT_EQ(eventKeys(sink.events), eventKeys(streamed));
+                    ASSERT_FALSE(sink.events.empty());
+                    ASSERT_NE(sink.events.back().response, nullptr);
+                    EXPECT_EQ(sink.events.back().response->text, got.text);
+
+                    const Response want =
+                        blocking.ask(question).expect("blocking ask");
+                    EXPECT_EQ(got.text, want.text);
+                    EXPECT_EQ(got.bundle.render(), want.bundle.render());
+                    EXPECT_EQ(got.answer.says_hit, want.answer.says_hit);
+                    EXPECT_EQ(got.answer.number, want.answer.number);
+                    EXPECT_EQ(got.answer.chosen_policy,
+                              want.answer.chosen_policy);
+                    EXPECT_EQ(got.answer.listed_values,
+                              want.answer.listed_values);
+                    EXPECT_EQ(got.answer.rejected_premise,
+                              want.answer.rejected_premise);
+                }
+            }
+        }
+    }
+}
+
+TEST(AskStreamTest, RefusingSinkUnwindsAsCancelled)
+{
+    const auto questions = suiteQuestions();
+    {
+        // A consumer that goes away at the third event: the run
+        // unwinds as cancelled, records no latency sample, and leaves
+        // the engine serving.
+        auto engine = engineWith("sieve", 0);
+        RequestContext ctx(questions[0]);
+        ctx.traced();
+        RecordingSink sink(/*refuse_at=*/3);
+        EXPECT_THROW(engine.ask(ctx, sink), retrieval::StreamCancelled);
+        EXPECT_EQ(sink.events.size(), 2u);
+        const auto stats = engine.stats();
+        EXPECT_EQ(stats.stream.cancelled, 1u);
+        EXPECT_EQ(stats.questions, 0u);
+        EXPECT_EQ(ctx.trace->outcome(), "cancelled");
+
+        auto again = engine.ask(questions[0]);
+        ASSERT_TRUE(again.ok());
+        EXPECT_FALSE(again.value().text.empty());
+        EXPECT_EQ(engine.stats().questions, 1u);
+    }
+    {
+        // A consumer that cancels without refusing a push: the
+        // retriever's poll after the overview section stops the run
+        // before any further event.
+        auto engine = engineWith("sieve", 0);
+        RecordingSink sink(/*refuse_at=*/0, /*cancel_after_overview=*/true);
+        EXPECT_THROW(engine.ask(RequestContext(questions[0]), sink),
+                     retrieval::StreamCancelled);
+        ASSERT_FALSE(sink.events.empty());
+        EXPECT_EQ(sink.events.back().kind,
+                  StreamEvent::Kind::EvidenceChunk);
+        EXPECT_EQ(sink.events.back().label, "overview");
+        EXPECT_EQ(engine.stats().stream.cancelled, 1u);
+        EXPECT_EQ(engine.stats().questions, 0u);
+    }
+}
+
+namespace {
+
+/** An EventSink whose first evidence push waits until release(). */
+class PausingSink final : public EventSink
+{
+  public:
+    bool
+    push(StreamEvent event) override
+    {
+        if (event.kind == StreamEvent::Kind::EvidenceChunk && !paused_) {
+            paused_ = true;
+            release_.get_future().wait();
+        }
+        return true;
+    }
+
+    bool cancelled() const override { return false; }
+
+    void release() { release_.set_value(); }
+
+  private:
+    bool paused_ = false;
+    std::promise<void> release_;
+};
+
+} // namespace
+
+TEST(AskStreamTest, PausedPushSinkNeverBlocksABlockingAskOnTheSameKey)
+{
+    // A serving session's sink blocks in its socket write while the
+    // client is slow. Like askStream, a run with a sink must not hold
+    // the cache's in-flight claim meanwhile: a blocking ask() of the
+    // same question on an engine sharing the cache still answers.
+    auto cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{1024});
+    auto pushing = CacheMind::Builder(sharedDb())
+                       .withSharedRetrievalCache(cache)
+                       .build()
+                       .expect("pushing engine");
+    auto blocking = CacheMind::Builder(sharedDb())
+                        .withSharedRetrievalCache(cache)
+                        .build()
+                        .expect("blocking engine");
+    const auto question = suiteQuestions()[0];
+
+    PausingSink sink;
+    auto paused = std::async(std::launch::async, [&] {
+        return pushing.ask(RequestContext(question), sink);
+    });
+    for (int i = 0; i < 10000 && cache->counters().misses == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(cache->counters().misses, 0u);
+
+    auto pending = std::async(std::launch::async,
+                              [&] { return blocking.ask(question); });
+    const bool answered = pending.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    // Release the sink either way, so a failing run still finishes.
+    sink.release();
+    const Response pushed = paused.get().expect("push ask");
+    EXPECT_TRUE(answered) << "blocking ask() waited on a paused sink";
+    EXPECT_EQ(pending.get().expect("blocking ask").text, pushed.text);
 }
