@@ -714,7 +714,7 @@ BM_AskStreamFirstEvent(benchmark::State &state)
     const auto stats = engine.stats();
     if (streamed) {
         state.counters["first_event_p50_ms"] =
-            stats.stream.first_event_p50_ms;
+            stats.stream.first_event_ms.percentile(50.0);
         state.counters["events"] =
             static_cast<double>(stats.stream.events);
     }

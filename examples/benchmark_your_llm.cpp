@@ -67,7 +67,7 @@ main()
         const auto stats = engine.stats();
         std::printf("  served %llu questions, p99 latency %.2f ms\n",
                     static_cast<unsigned long long>(stats.questions),
-                    stats.latency_p99_ms);
+                    stats.latency_ms.percentile(99.0));
     }
     return 0;
 }

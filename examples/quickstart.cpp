@@ -89,7 +89,8 @@ main()
                 static_cast<unsigned long long>(stats.questions),
                 static_cast<unsigned long long>(stats.batches),
                 100.0 * stats.highQualityFraction(),
-                stats.latency_p50_ms, stats.latency_p99_ms);
+                stats.latency_ms.percentile(50.0),
+                stats.latency_ms.percentile(99.0));
     // The batch re-asked the three sequential questions, so the
     // shared cross-question retrieval cache served their evidence
     // bundles without re-running retrieval.

@@ -149,7 +149,7 @@ main()
                     stats.stream.evidence_chunks),
                 static_cast<unsigned long long>(
                     stats.stream.answer_deltas),
-                stats.stream.first_event_p50_ms,
-                stats.latency_p50_ms);
+                stats.stream.first_event_ms.percentile(50.0),
+                stats.latency_ms.percentile(50.0));
     return 0;
 }

@@ -138,37 +138,84 @@ RunningStats::stdev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double bin_width, std::size_t bins)
-    : lo_(lo), width_(bin_width), counts_(bins, 0)
+namespace {
+
+/** Samples from here up count in the histogram's top bucket. */
+constexpr std::uint64_t kTopUs = std::uint64_t{1} << 32;
+
+/** Bucket of a sample of `us` whole microseconds. */
+std::size_t
+bucketOf(std::uint64_t us)
 {
-    CM_ASSERT(bin_width > 0.0, "histogram bin width must be positive");
-    CM_ASSERT(bins > 0, "histogram needs at least one bin");
+    if (us < 16)
+        return static_cast<std::size_t>(us);
+    if (us >= kTopUs)
+        return Histogram::kBuckets - 1;
+    // us lies in [2^e, 2^(e+1)); its top five bits pick the bucket.
+    const int e = 63 - __builtin_clzll(us);
+    return static_cast<std::size_t>(e - 3) * 16 +
+           static_cast<std::size_t>((us >> (e - 4)) & 15);
+}
+
+/** Midpoint, in microseconds, of the whole values bucket `b` holds. */
+double
+bucketMidUs(std::size_t b)
+{
+    const std::size_t octave = b / 16;
+    if (octave == 0)
+        return static_cast<double>(b);
+    const std::uint64_t width = std::uint64_t{1} << (octave - 1);
+    const std::uint64_t lo = (16 + b % 16) * width;
+    return static_cast<double>(lo) +
+           static_cast<double>(width - 1) / 2.0;
+}
+
+} // namespace
+
+void
+Histogram::record(double ms)
+{
+    if (!(ms >= 0.0))
+        ms = 0.0; // negative or NaN
+    const double us =
+        std::min(ms * 1000.0 + 0.5, static_cast<double>(kTopUs));
+    ++counts_[bucketOf(static_cast<std::uint64_t>(us))];
+    if (count_ == 0 || ms < min_ms_)
+        min_ms_ = ms;
+    if (count_ == 0 || ms > max_ms_)
+        max_ms_ = ms;
+    ++count_;
+    sum_ms_ += ms;
 }
 
 void
-Histogram::push(double x)
+Histogram::merge(const Histogram &other)
 {
-    double idx = (x - lo_) / width_;
-    if (idx < 0.0)
-        idx = 0.0;
-    std::size_t bin = static_cast<std::size_t>(idx);
-    if (bin >= counts_.size())
-        bin = counts_.size() - 1;
-    ++counts_[bin];
-    ++total_;
-}
-
-std::size_t
-Histogram::binCount(std::size_t bin) const
-{
-    CM_ASSERT(bin < counts_.size(), "histogram bin out of range");
-    return counts_[bin];
+    if (other.count_ == 0)
+        return;
+    for (std::size_t b = 0; b < kBuckets; ++b)
+        counts_[b] += other.counts_[b];
+    min_ms_ = count_ ? std::min(min_ms_, other.min_ms_) : other.min_ms_;
+    max_ms_ = count_ ? std::max(max_ms_, other.max_ms_) : other.max_ms_;
+    count_ += other.count_;
+    sum_ms_ += other.sum_ms_;
 }
 
 double
-Histogram::binLow(std::size_t bin) const
+Histogram::percentile(double p) const
 {
-    return lo_ + width_ * static_cast<double>(bin);
+    if (count_ == 0)
+        return 0.0;
+    // Nearest rank: the ceil(p% of n)-th smallest sample, at least the
+    // first.
+    const double n = static_cast<double>(count_);
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(std::clamp(p, 0.0, 100.0) * n / 100.0)));
+    std::size_t b = 0;
+    for (std::uint64_t seen = counts_[0]; seen < rank;)
+        seen += counts_[++b];
+    return std::clamp(bucketMidUs(b) / 1000.0, min_ms_, max_ms_);
 }
 
 } // namespace cachemind::stats

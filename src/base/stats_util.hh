@@ -7,9 +7,9 @@
 #ifndef CACHEMIND_BASE_STATS_UTIL_HH
 #define CACHEMIND_BASE_STATS_UTIL_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace cachemind::stats {
@@ -72,23 +72,46 @@ class RunningStats
     double max_ = 0.0;
 };
 
-/** Integer histogram with fixed-width bins starting at `lo`. */
+/**
+ * Mergeable latency histogram over milliseconds. Samples are bucketed
+ * as whole microseconds on HdrHistogram's log-linear layout: exact
+ * below 16 us, then 16 buckets per power of two, so a bucket is never
+ * wider than 1/16 of the values it holds, up to 2^32 us (about 71
+ * minutes); larger samples count in the top bucket. The buckets are a
+ * fixed array, so record() and merge() never allocate, and merging
+ * adds bucket counts: a merged percentile is as exact as one taken
+ * over a histogram that recorded every sample itself.
+ */
 class Histogram
 {
   public:
-    Histogram(double lo, double bin_width, std::size_t bins);
+    /** Exact buckets [0, 16) us, then 16 per octave below 2^32 us. */
+    static constexpr std::size_t kBuckets = (32 - 3) * 16;
 
-    void push(double x);
-    std::size_t binCount(std::size_t bin) const;
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t total() const { return total_; }
-    double binLow(std::size_t bin) const;
+    void record(double ms);
+    /** Add `other`'s samples (bucket counts, sum, min and max). */
+    void merge(const Histogram &other);
+
+    std::uint64_t count() const { return count_; }
+    /** Exact mean of the recorded samples; 0 when empty. */
+    double
+    mean() const
+    {
+        return count_ ? sum_ms_ / static_cast<double>(count_) : 0.0;
+    }
+    /**
+     * Nearest-rank percentile, p in [0, 100]: the midpoint of the
+     * bucket holding the rank-p sample, clamped to the observed min
+     * and max; 0 when empty.
+     */
+    double percentile(double p) const;
 
   private:
-    double lo_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
+    std::array<std::uint64_t, kBuckets> counts_{};
+    std::uint64_t count_ = 0;
+    double sum_ms_ = 0.0;
+    double min_ms_ = 0.0;
+    double max_ms_ = 0.0;
 };
 
 } // namespace cachemind::stats

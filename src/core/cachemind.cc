@@ -347,8 +347,7 @@ CacheMind::retrieveStage(retrieval::Retriever &retriever,
             cache_->publish(cache_key, evidence, &outcome);
         }
     }
-    stats_->recordCacheLookup(retriever.name(), outcome.hit,
-                              outcome.evictions);
+    stats_->recordCacheLookup(outcome.hit, outcome.evictions);
     sink.finishRetrieve(retrieval::cacheSourceName(outcome.source),
                         *evidence, outcome.hit);
     return evidence;

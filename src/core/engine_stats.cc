@@ -1,35 +1,55 @@
 #include "core/engine_stats.hh"
 
-#include <algorithm>
-
-#include "base/random.hh"
-#include "base/stats_util.hh"
 #include "obs/trace.hh"
 
 namespace cachemind::core {
+
+EngineStats &
+EngineStats::operator+=(const EngineStats &other)
+{
+    questions += other.questions;
+    batches += other.batches;
+    quality_low += other.quality_low;
+    quality_medium += other.quality_medium;
+    quality_high += other.quality_high;
+    degraded_answers += other.degraded_answers;
+    latency_ms.merge(other.latency_ms);
+    stream.streams += other.stream.streams;
+    stream.events += other.stream.events;
+    stream.evidence_chunks += other.stream.evidence_chunks;
+    stream.answer_deltas += other.stream.answer_deltas;
+    stream.cancelled += other.stream.cancelled;
+    stream.warmups += other.stream.warmups;
+    stream.warmup_ms_total += other.stream.warmup_ms_total;
+    stream.first_event_ms.merge(other.stream.first_event_ms);
+    trace.traced += other.trace.traced;
+    trace.parse_ms.merge(other.trace.parse_ms);
+    trace.plan_ms.merge(other.trace.plan_ms);
+    trace.retrieve_ms.merge(other.trace.retrieve_ms);
+    trace.generate_ms.merge(other.trace.generate_ms);
+    trace.slowest_parse += other.trace.slowest_parse;
+    trace.slowest_plan += other.trace.slowest_plan;
+    trace.slowest_retrieve += other.trace.slowest_retrieve;
+    trace.slowest_generate += other.trace.slowest_generate;
+    cache.hits += other.cache.hits;
+    cache.misses += other.cache.misses;
+    cache.evictions += other.cache.evictions;
+    return *this;
+}
 
 void
 EngineStatsRecorder::record(double latency_ms,
                             retrieval::ContextQuality quality)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++questions_;
-    latency_sum_ms_ += latency_ms;
-    if (latency_reservoir_ms_.size() < kReservoirCap) {
-        latency_reservoir_ms_.push_back(latency_ms);
-    } else {
-        // Algorithm R with a deterministic (hash-keyed) draw: sample
-        // i replaces a random slot with probability cap/i.
-        const std::uint64_t slot =
-            splitMix64(questions_) % questions_;
-        if (slot < kReservoirCap)
-            latency_reservoir_ms_[static_cast<std::size_t>(slot)] =
-                latency_ms;
-    }
+    ++stats_.questions;
+    stats_.latency_ms.record(latency_ms);
     switch (quality) {
-      case retrieval::ContextQuality::Low: ++quality_low_; break;
-      case retrieval::ContextQuality::Medium: ++quality_medium_; break;
-      case retrieval::ContextQuality::High: ++quality_high_; break;
+      case retrieval::ContextQuality::Low: ++stats_.quality_low; break;
+      case retrieval::ContextQuality::Medium:
+        ++stats_.quality_medium;
+        break;
+      case retrieval::ContextQuality::High: ++stats_.quality_high; break;
     }
 }
 
@@ -37,20 +57,15 @@ void
 EngineStatsRecorder::recordBatch()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++batches_;
+    ++stats_.batches;
 }
 
 void
-EngineStatsRecorder::recordCacheLookup(const std::string &retriever,
-                                       bool hit, std::uint64_t evictions)
+EngineStatsRecorder::recordCacheLookup(bool hit, std::uint64_t evictions)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    RetrievalCacheStats &s = cache_by_retriever_[retriever];
-    if (hit)
-        ++s.hits;
-    else
-        ++s.misses;
-    s.evictions += evictions;
+    ++(hit ? stats_.cache.hits : stats_.cache.misses);
+    stats_.cache.evictions += evictions;
 }
 
 void
@@ -60,49 +75,40 @@ EngineStatsRecorder::recordStream(double first_event_ms,
                                   std::uint64_t answer_deltas)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++streams_;
-    stream_events_ += events;
-    stream_evidence_chunks_ += evidence_chunks;
-    stream_answer_deltas_ += answer_deltas;
-    first_event_sum_ms_ += first_event_ms;
-    if (first_event_reservoir_ms_.size() < kReservoirCap) {
-        first_event_reservoir_ms_.push_back(first_event_ms);
-    } else {
-        const std::uint64_t slot = splitMix64(streams_) % streams_;
-        if (slot < kReservoirCap)
-            first_event_reservoir_ms_[static_cast<std::size_t>(slot)] =
-                first_event_ms;
-    }
+    ++stats_.stream.streams;
+    stats_.stream.events += events;
+    stats_.stream.evidence_chunks += evidence_chunks;
+    stats_.stream.answer_deltas += answer_deltas;
+    stats_.stream.first_event_ms.record(first_event_ms);
 }
 
 void
 EngineStatsRecorder::recordStreamCancelled()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stream_cancelled_;
+    ++stats_.stream.cancelled;
 }
 
 void
 EngineStatsRecorder::recordDegraded()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++degraded_answers_;
+    ++stats_.degraded_answers;
 }
 
 void
 EngineStatsRecorder::recordWarmup(double warmup_ms)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++warmups_;
-    warmup_ms_total_ += warmup_ms;
+    ++stats_.stream.warmups;
+    stats_.stream.warmup_ms_total += warmup_ms;
 }
 
 void
 EngineStatsRecorder::recordTrace(const obs::RequestTrace &trace)
 {
     // Stage durations from the trace's span names: the first
-    // parse/plan/retrieve/generate span each (index matches
-    // stage_reservoir_ms_ / slowest_stage_ order).
+    // parse/plan/retrieve/generate span each.
     static const char *const kStages[4] = {"parse", "plan", "retrieve",
                                            "generate"};
     double stage_ms[4] = {0.0, 0.0, 0.0, 0.0};
@@ -125,87 +131,24 @@ EngineStatsRecorder::recordTrace(const obs::RequestTrace &trace)
     }
 
     std::lock_guard<std::mutex> lock(mu_);
-    ++traced_;
-    ++slowest_stage_[slowest];
-    for (int i = 0; i < 4; ++i) {
-        auto &reservoir = stage_reservoir_ms_[i];
-        if (reservoir.size() < kReservoirCap) {
-            reservoir.push_back(stage_ms[i]);
-        } else {
-            const std::uint64_t slot = splitMix64(traced_) % traced_;
-            if (slot < kReservoirCap)
-                reservoir[static_cast<std::size_t>(slot)] = stage_ms[i];
-        }
-    }
+    TraceStats &t = stats_.trace;
+    stats::Histogram *const stage_hist[4] = {&t.parse_ms, &t.plan_ms,
+                                             &t.retrieve_ms,
+                                             &t.generate_ms};
+    std::uint64_t *const slowest_count[4] = {
+        &t.slowest_parse, &t.slowest_plan, &t.slowest_retrieve,
+        &t.slowest_generate};
+    ++t.traced;
+    ++*slowest_count[slowest];
+    for (int i = 0; i < 4; ++i)
+        stage_hist[i]->record(stage_ms[i]);
 }
 
 EngineStats
 EngineStatsRecorder::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    EngineStats s;
-    s.questions = questions_;
-    s.batches = batches_;
-    s.quality_low = quality_low_;
-    s.degraded_answers = degraded_answers_;
-    s.quality_medium = quality_medium_;
-    s.quality_high = quality_high_;
-    s.cache_by_retriever = cache_by_retriever_;
-    for (const auto &[name, counters] : cache_by_retriever_) {
-        (void)name;
-        s.cache.hits += counters.hits;
-        s.cache.misses += counters.misses;
-        s.cache.evictions += counters.evictions;
-    }
-    if (!latency_reservoir_ms_.empty()) {
-        sort_scratch_.assign(latency_reservoir_ms_.begin(),
-                             latency_reservoir_ms_.end());
-        std::sort(sort_scratch_.begin(), sort_scratch_.end());
-        s.latency_p50_ms = stats::percentileSorted(sort_scratch_, 50.0);
-        s.latency_p90_ms = stats::percentileSorted(sort_scratch_, 90.0);
-        s.latency_p99_ms = stats::percentileSorted(sort_scratch_, 99.0);
-        s.latency_mean_ms =
-            latency_sum_ms_ / static_cast<double>(questions_);
-    }
-    s.stream.streams = streams_;
-    s.stream.events = stream_events_;
-    s.stream.evidence_chunks = stream_evidence_chunks_;
-    s.stream.answer_deltas = stream_answer_deltas_;
-    s.stream.cancelled = stream_cancelled_;
-    s.stream.warmups = warmups_;
-    s.stream.warmup_ms_total = warmup_ms_total_;
-    if (!first_event_reservoir_ms_.empty()) {
-        sort_scratch_.assign(first_event_reservoir_ms_.begin(),
-                             first_event_reservoir_ms_.end());
-        std::sort(sort_scratch_.begin(), sort_scratch_.end());
-        s.stream.first_event_p50_ms =
-            stats::percentileSorted(sort_scratch_, 50.0);
-        s.stream.first_event_p90_ms =
-            stats::percentileSorted(sort_scratch_, 90.0);
-        s.stream.first_event_mean_ms =
-            first_event_sum_ms_ / static_cast<double>(streams_);
-    }
-    s.trace.traced = traced_;
-    s.trace.slowest_parse = slowest_stage_[0];
-    s.trace.slowest_plan = slowest_stage_[1];
-    s.trace.slowest_retrieve = slowest_stage_[2];
-    s.trace.slowest_generate = slowest_stage_[3];
-    double *stage_p50[4] = {&s.trace.parse_p50_ms, &s.trace.plan_p50_ms,
-                            &s.trace.retrieve_p50_ms,
-                            &s.trace.generate_p50_ms};
-    double *stage_p90[4] = {&s.trace.parse_p90_ms, &s.trace.plan_p90_ms,
-                            &s.trace.retrieve_p90_ms,
-                            &s.trace.generate_p90_ms};
-    for (int i = 0; i < 4; ++i) {
-        if (stage_reservoir_ms_[i].empty())
-            continue;
-        sort_scratch_.assign(stage_reservoir_ms_[i].begin(),
-                             stage_reservoir_ms_[i].end());
-        std::sort(sort_scratch_.begin(), sort_scratch_.end());
-        *stage_p50[i] = stats::percentileSorted(sort_scratch_, 50.0);
-        *stage_p90[i] = stats::percentileSorted(sort_scratch_, 90.0);
-    }
-    return s;
+    return stats_;
 }
 
 } // namespace cachemind::core

@@ -1,20 +1,20 @@
 /**
  * @file
  * Per-engine aggregate serving statistics: questions served, retrieval
- * hit quality, and latency percentiles. The recorder is thread-safe so
+ * hit quality, and latency histograms. The recorder is thread-safe so
  * askBatch workers can publish into it concurrently; snapshots are
- * cheap value types for reporting.
+ * fixed-size value types, and `+=` merges them exactly (counters add,
+ * histograms add bucket counts), so stats folded across engines keep
+ * true percentiles.
  */
 
 #ifndef CACHEMIND_CORE_ENGINE_STATS_HH
 #define CACHEMIND_CORE_ENGINE_STATS_HH
 
 #include <cstdint>
-#include <map>
 #include <mutex>
-#include <string>
-#include <vector>
 
+#include "base/stats_util.hh"
 #include "db/index.hh"
 #include "retrieval/cache.hh"
 #include "retrieval/context.hh"
@@ -25,7 +25,7 @@ class RequestTrace;
 
 namespace cachemind::core {
 
-/** Cross-question retrieval-cache counters (per retriever or total). */
+/** Cross-question retrieval-cache counters. */
 struct RetrievalCacheStats
 {
     std::uint64_t hits = 0;
@@ -63,22 +63,19 @@ struct StreamStats
     /**
      * Cold index warm-ups observed (at most one per engine) and their
      * total cost. Warm-up is recorded here, *outside* the
-     * time-to-first-event reservoir, so the first stream against a
+     * time-to-first-event histogram, so the first stream against a
      * cold engine does not skew server-side TTFE percentiles.
      */
     std::uint64_t warmups = 0;
     double warmup_ms_total = 0.0;
 
     /**
-     * Time-to-first-event percentiles (milliseconds): the gap between
-     * a stream's pipeline starting and its first event being emitted
-     * — the latency a streaming consumer actually waits before
-     * anything appears, as opposed to the full-answer latency in
-     * latency_p50_ms.
+     * Time to first event (milliseconds): the gap between a stream's
+     * pipeline starting and its first event being emitted — the
+     * latency a streaming consumer actually waits before anything
+     * appears, as opposed to the full-answer EngineStats::latency_ms.
      */
-    double first_event_p50_ms = 0.0;
-    double first_event_p90_ms = 0.0;
-    double first_event_mean_ms = 0.0;
+    stats::Histogram first_event_ms;
 };
 
 /**
@@ -93,15 +90,11 @@ struct TraceStats
     /** Traced requests folded in. */
     std::uint64_t traced = 0;
 
-    /** Per-stage latency percentiles (milliseconds). */
-    double parse_p50_ms = 0.0;
-    double parse_p90_ms = 0.0;
-    double plan_p50_ms = 0.0;
-    double plan_p90_ms = 0.0;
-    double retrieve_p50_ms = 0.0;
-    double retrieve_p90_ms = 0.0;
-    double generate_p50_ms = 0.0;
-    double generate_p90_ms = 0.0;
+    /** Per-stage latency (milliseconds). */
+    stats::Histogram parse_ms;
+    stats::Histogram plan_ms;
+    stats::Histogram retrieve_ms;
+    stats::Histogram generate_ms;
 
     /** Requests whose slowest stage was parse/plan/retrieve/generate. */
     std::uint64_t slowest_parse = 0;
@@ -130,11 +123,8 @@ struct EngineStats
      */
     std::uint64_t degraded_answers = 0;
 
-    /** End-to-end per-question latency percentiles (milliseconds). */
-    double latency_p50_ms = 0.0;
-    double latency_p90_ms = 0.0;
-    double latency_p99_ms = 0.0;
-    double latency_mean_ms = 0.0;
+    /** End-to-end per-question latency (milliseconds). */
+    stats::Histogram latency_ms;
 
     /** Streaming-pipeline counters. */
     StreamStats stream;
@@ -142,10 +132,8 @@ struct EngineStats
     /** Per-stage aggregates over traced requests. */
     TraceStats trace;
 
-    /** Retrieval-cache totals across all retrievers. */
+    /** Retrieval-cache lookups made by the engine's retrievers. */
     RetrievalCacheStats cache;
-    /** Retrieval-cache counters split by retriever name. */
-    std::map<std::string, RetrievalCacheStats> cache_by_retriever;
 
     /**
      * Per-tier retrieval-cache stats (LRU hot tier, compressed
@@ -163,6 +151,13 @@ struct EngineStats
      * Filled by CacheMind::stats() from the shards, not the recorder.
      */
     db::IndexTotals index;
+
+    /**
+     * Fold another engine's stats in: counters add and histograms
+     * merge. cache_tiers and index describe a cache and a shard set
+     * that engines share, so they are left as they are.
+     */
+    EngineStats &operator+=(const EngineStats &other);
 
     /** Fraction of questions with high-quality retrieved context. */
     double
@@ -186,11 +181,10 @@ class EngineStatsRecorder
     void recordBatch();
 
     /**
-     * Record one retrieval-cache lookup for the named retriever: hit
-     * or miss, plus any entries the lookup's insertion evicted.
+     * Record one retrieval-cache lookup: hit or miss, plus any entries
+     * the lookup's insertion evicted.
      */
-    void recordCacheLookup(const std::string &retriever, bool hit,
-                           std::uint64_t evictions);
+    void recordCacheLookup(bool hit, std::uint64_t evictions);
 
     /**
      * Record one completed streaming question: its time-to-first-event
@@ -216,49 +210,12 @@ class EngineStatsRecorder
      */
     void recordTrace(const obs::RequestTrace &trace);
 
-    /** Aggregate snapshot (percentiles via base/stats_util). */
+    /** Aggregate snapshot (a copy taken under the lock). */
     EngineStats snapshot() const;
 
   private:
-    /**
-     * Latency percentiles come from a bounded deterministic
-     * reservoir, so a long-lived engine's memory and snapshot cost
-     * stay flat no matter how many questions it serves. Counts and
-     * the mean stay exact.
-     */
-    static constexpr std::size_t kReservoirCap = 4096;
-
     mutable std::mutex mu_;
-    std::uint64_t questions_ = 0;
-    std::uint64_t batches_ = 0;
-    std::uint64_t quality_low_ = 0;
-    std::uint64_t quality_medium_ = 0;
-    std::uint64_t quality_high_ = 0;
-    double latency_sum_ms_ = 0.0;
-    std::uint64_t streams_ = 0;
-    std::uint64_t stream_events_ = 0;
-    std::uint64_t stream_evidence_chunks_ = 0;
-    std::uint64_t stream_answer_deltas_ = 0;
-    std::uint64_t stream_cancelled_ = 0;
-    std::uint64_t degraded_answers_ = 0;
-    std::uint64_t warmups_ = 0;
-    double warmup_ms_total_ = 0.0;
-    double first_event_sum_ms_ = 0.0;
-    std::map<std::string, RetrievalCacheStats> cache_by_retriever_;
-    /** Traced-request accumulators (EngineStats.trace). */
-    std::uint64_t traced_ = 0;
-    std::uint64_t slowest_stage_[4] = {0, 0, 0, 0};
-    /** One bounded reservoir per stage: parse, plan, retrieve, gen. */
-    std::vector<double> stage_reservoir_ms_[4];
-    std::vector<double> latency_reservoir_ms_;
-    /** Same bounded-reservoir scheme for time-to-first-event. */
-    std::vector<double> first_event_reservoir_ms_;
-    /**
-     * Scratch for percentile extraction: the reservoir is copied and
-     * sorted exactly once per snapshot, into a buffer reused across
-     * snapshots so steady-state polling allocates nothing.
-     */
-    mutable std::vector<double> sort_scratch_;
+    EngineStats stats_;
 };
 
 } // namespace cachemind::core

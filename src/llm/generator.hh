@@ -122,15 +122,12 @@ class GeneratorLlm
                            const GenerationOptions &opts,
                            const DeltaFn &on_delta) const;
 
-    /** Assemble the full prompt that `answer` conceptually consumes. */
-    Prompt buildPrompt(const retrieval::ContextBundle &bundle,
-                       const GenerationOptions &opts) const;
-
   private:
     bool roll(std::uint64_t qkey, const char *skill, double p) const;
 
     Answer answerHitMiss(const retrieval::ContextBundle &bundle,
-                         const Prompt &prompt, std::uint64_t qkey) const;
+                         const std::vector<ExampleShot> &shots,
+                         std::uint64_t qkey) const;
     Answer answerMissRate(const retrieval::ContextBundle &bundle,
                           std::uint64_t qkey) const;
     Answer answerComparison(const retrieval::ContextBundle &bundle,
@@ -156,8 +153,8 @@ class GeneratorLlm
 
     /** Few-shot context adoption (weak models, poor retrieval). */
     bool maybeCopyExample(const retrieval::ContextBundle &bundle,
-                          const Prompt &prompt, std::uint64_t qkey,
-                          Answer &out) const;
+                          const std::vector<ExampleShot> &shots,
+                          std::uint64_t qkey, Answer &out) const;
 
     std::string name_;
     /** Salt for identity-dependent draws (enum value or name hash). */

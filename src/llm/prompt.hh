@@ -29,6 +29,9 @@ struct ExampleShot
     bool demonstrates_trick = false;
 };
 
+/** True when one of `shots` demonstrates rejecting a false premise. */
+bool hasTrickShot(const std::vector<ExampleShot> &shots);
+
 /** Assembled prompt. */
 struct Prompt
 {
@@ -40,23 +43,13 @@ struct Prompt
 
     /** Full text as it would be sent to a completion API. */
     std::string render() const;
-
-    bool
-    hasTrickShot() const
-    {
-        for (const auto &s : shots) {
-            if (s.demonstrates_trick)
-                return true;
-        }
-        return false;
-    }
 };
 
 /** The generator's default system prompt. */
-std::string defaultSystemPrompt();
+const std::string &defaultSystemPrompt();
 
 /** Canonical example shots used by the prompting ablation (Fig. 6). */
-std::vector<ExampleShot> canonicalShots(ShotMode mode);
+const std::vector<ExampleShot> &canonicalShots(ShotMode mode);
 
 } // namespace cachemind::llm
 

@@ -1,6 +1,7 @@
 #include "query/parser.hh"
 
 #include <algorithm>
+#include <cctype>
 
 #include "base/str.hh"
 
@@ -65,8 +66,12 @@ NlQueryParser::parse(const std::string &text) const
             q.address = tok;
         }
     }
-    // "set 1424" style set ids.
-    const auto set_pos = lower.find("set ");
+    // "set 1424" style set ids: the word "set", not the tail of
+    // "offset" or "reset".
+    auto set_pos = lower.find("set ");
+    while (set_pos != std::string::npos && set_pos > 0 &&
+           std::isalnum(static_cast<unsigned char>(lower[set_pos - 1])))
+        set_pos = lower.find("set ", set_pos + 1);
     if (set_pos != std::string::npos) {
         const auto ints =
             str::extractIntTokens(lower.substr(set_pos, 24));

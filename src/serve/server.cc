@@ -21,7 +21,6 @@
 
 #include "base/deadline.hh"
 #include "base/failpoint.hh"
-#include "base/random.hh"
 #include "base/stats_util.hh"
 #include "base/stopwatch.hh"
 #include "base/str.hh"
@@ -92,38 +91,6 @@ recvLine(int fd, std::string &buffer, std::size_t max_bytes,
         buffer.append(chunk, static_cast<std::size_t>(n));
     }
 }
-
-/** Bounded percentile reservoir (same scheme as EngineStatsRecorder). */
-constexpr std::size_t kServeReservoirCap = 1024;
-
-struct LatencyReservoir
-{
-    std::uint64_t count = 0;
-    std::vector<double> samples;
-
-    void
-    push(double ms)
-    {
-        ++count;
-        if (samples.size() < kServeReservoirCap) {
-            samples.push_back(ms);
-        } else {
-            const std::uint64_t slot = splitMix64(count) % count;
-            if (slot < kServeReservoirCap)
-                samples[static_cast<std::size_t>(slot)] = ms;
-        }
-    }
-
-    double
-    percentile(double p) const
-    {
-        if (samples.empty())
-            return 0.0;
-        std::vector<double> sorted = samples;
-        std::sort(sorted.begin(), sorted.end());
-        return stats::percentileSorted(sorted, p);
-    }
-};
 
 /**
  * The event sink of one served ask: the pipeline runs on the session
@@ -253,12 +220,7 @@ struct Server::Impl
     std::uint64_t malformed = 0;
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t lease_timeouts = 0;
-    struct RetrieverLatency
-    {
-        LatencyReservoir ttfe;
-        LatencyReservoir ttlb;
-    };
-    std::map<std::string, RetrieverLatency> latency_by_retriever;
+    std::map<std::string, RetrieverServeStats> by_retriever;
 
     Impl(const db::TraceDatabase &database, ServeOptions options)
         : db(database), opts(std::move(options)),
@@ -291,9 +253,9 @@ struct Server::Impl
     {
         std::lock_guard<std::mutex> lock(stats_mu);
         ++completed;
-        auto &lat = latency_by_retriever[retriever];
-        lat.ttfe.push(ttfe_ms);
-        lat.ttlb.push(ttlb_ms);
+        RetrieverServeStats &r = by_retriever[retriever];
+        r.ttfe_ms.record(ttfe_ms);
+        r.ttlb_ms.record(ttlb_ms);
     }
 
     ServeStats snapshot() const;
@@ -822,19 +784,8 @@ Server::Impl::snapshot() const
         s.malformed = malformed;
         s.deadline_exceeded = deadline_exceeded;
         s.lease_timeouts = lease_timeouts;
-        for (const auto &[name, lat] : latency_by_retriever) {
-            RetrieverServeStats r;
-            r.asks = lat.ttfe.count;
-            r.ttfe_p50_ms = lat.ttfe.percentile(50.0);
-            r.ttfe_p90_ms = lat.ttfe.percentile(90.0);
-            r.ttlb_p50_ms = lat.ttlb.percentile(50.0);
-            r.ttlb_p90_ms = lat.ttlb.percentile(90.0);
-            s.by_retriever[name] = r;
-        }
+        s.by_retriever = by_retriever;
     }
-    // Fold engine stats across the pool: counters sum exactly;
-    // percentile fields take the worst engine (merging reservoirs
-    // across engines would misrepresent per-engine distributions).
     std::vector<core::CacheMind *> engines;
     {
         std::lock_guard<std::mutex> lock(pool_mu);
@@ -844,70 +795,7 @@ Server::Impl::snapshot() const
     }
     for (core::CacheMind *engine : engines) {
         const core::EngineStats es = engine->stats();
-        s.engine.questions += es.questions;
-        s.engine.batches += es.batches;
-        s.engine.quality_low += es.quality_low;
-        s.engine.quality_medium += es.quality_medium;
-        s.engine.quality_high += es.quality_high;
-        s.engine.degraded_answers += es.degraded_answers;
-        s.engine.latency_p50_ms =
-            std::max(s.engine.latency_p50_ms, es.latency_p50_ms);
-        s.engine.latency_p90_ms =
-            std::max(s.engine.latency_p90_ms, es.latency_p90_ms);
-        s.engine.latency_p99_ms =
-            std::max(s.engine.latency_p99_ms, es.latency_p99_ms);
-        s.engine.latency_mean_ms =
-            std::max(s.engine.latency_mean_ms, es.latency_mean_ms);
-        s.engine.stream.streams += es.stream.streams;
-        s.engine.stream.events += es.stream.events;
-        s.engine.stream.evidence_chunks += es.stream.evidence_chunks;
-        s.engine.stream.answer_deltas += es.stream.answer_deltas;
-        s.engine.stream.cancelled += es.stream.cancelled;
-        s.engine.stream.warmups += es.stream.warmups;
-        s.engine.stream.warmup_ms_total += es.stream.warmup_ms_total;
-        s.engine.stream.first_event_p50_ms =
-            std::max(s.engine.stream.first_event_p50_ms,
-                     es.stream.first_event_p50_ms);
-        s.engine.stream.first_event_p90_ms =
-            std::max(s.engine.stream.first_event_p90_ms,
-                     es.stream.first_event_p90_ms);
-        s.engine.stream.first_event_mean_ms =
-            std::max(s.engine.stream.first_event_mean_ms,
-                     es.stream.first_event_mean_ms);
-        s.engine.trace.traced += es.trace.traced;
-        s.engine.trace.slowest_parse += es.trace.slowest_parse;
-        s.engine.trace.slowest_plan += es.trace.slowest_plan;
-        s.engine.trace.slowest_retrieve += es.trace.slowest_retrieve;
-        s.engine.trace.slowest_generate += es.trace.slowest_generate;
-        s.engine.trace.parse_p50_ms =
-            std::max(s.engine.trace.parse_p50_ms, es.trace.parse_p50_ms);
-        s.engine.trace.parse_p90_ms =
-            std::max(s.engine.trace.parse_p90_ms, es.trace.parse_p90_ms);
-        s.engine.trace.plan_p50_ms =
-            std::max(s.engine.trace.plan_p50_ms, es.trace.plan_p50_ms);
-        s.engine.trace.plan_p90_ms =
-            std::max(s.engine.trace.plan_p90_ms, es.trace.plan_p90_ms);
-        s.engine.trace.retrieve_p50_ms =
-            std::max(s.engine.trace.retrieve_p50_ms,
-                     es.trace.retrieve_p50_ms);
-        s.engine.trace.retrieve_p90_ms =
-            std::max(s.engine.trace.retrieve_p90_ms,
-                     es.trace.retrieve_p90_ms);
-        s.engine.trace.generate_p50_ms =
-            std::max(s.engine.trace.generate_p50_ms,
-                     es.trace.generate_p50_ms);
-        s.engine.trace.generate_p90_ms =
-            std::max(s.engine.trace.generate_p90_ms,
-                     es.trace.generate_p90_ms);
-        s.engine.cache.hits += es.cache.hits;
-        s.engine.cache.misses += es.cache.misses;
-        s.engine.cache.evictions += es.cache.evictions;
-        for (const auto &[name, c] : es.cache_by_retriever) {
-            auto &agg = s.engine.cache_by_retriever[name];
-            agg.hits += c.hits;
-            agg.misses += c.misses;
-            agg.evictions += c.evictions;
-        }
+        s.engine += es;
         // Index totals come from the shared shard set: every engine
         // reports the same postings indexes, so take (don't sum —
         // summing would multiply them by the pool size).
@@ -1021,9 +909,9 @@ Server::options() const
 namespace {
 
 std::string
-numberField(const char *key, double value)
+numberField(const std::string &key, double value)
 {
-    return std::string(",\"") + key + "\":" + str::fixed(value, 3);
+    return ",\"" + key + "\":" + str::fixed(value, 3);
 }
 
 std::string
@@ -1092,10 +980,11 @@ statsFrame(const std::string &id, const ServeStats &stats)
     frame += countField("array_chunks", index.array_chunks);
     frame += countField("bitmap_chunks", index.bitmap_chunks);
     frame += countField("postings_bytes", index.postings_bytes);
+    const auto &first_event = stats.engine.stream.first_event_ms;
     frame += numberField("first_event_p50_ms",
-                         stats.engine.stream.first_event_p50_ms);
+                         first_event.percentile(50.0));
     frame += numberField("first_event_p90_ms",
-                         stats.engine.stream.first_event_p90_ms);
+                         first_event.percentile(90.0));
     // Traced-request aggregates: per-stage percentiles and the
     // slowest-stage histogram (see EngineStats.trace).
     const auto &trace = stats.engine.trace;
@@ -1104,25 +993,23 @@ statsFrame(const std::string &id, const ServeStats &stats)
     frame += countField("slowest_plan", trace.slowest_plan);
     frame += countField("slowest_retrieve", trace.slowest_retrieve);
     frame += countField("slowest_generate", trace.slowest_generate);
-    frame += numberField("trace_parse_p50_ms", trace.parse_p50_ms);
-    frame += numberField("trace_parse_p90_ms", trace.parse_p90_ms);
-    frame += numberField("trace_plan_p50_ms", trace.plan_p50_ms);
-    frame += numberField("trace_plan_p90_ms", trace.plan_p90_ms);
-    frame += numberField("trace_retrieve_p50_ms",
-                         trace.retrieve_p50_ms);
-    frame += numberField("trace_retrieve_p90_ms",
-                         trace.retrieve_p90_ms);
-    frame += numberField("trace_generate_p50_ms",
-                         trace.generate_p50_ms);
-    frame += numberField("trace_generate_p90_ms",
-                         trace.generate_p90_ms);
+    const std::pair<const char *, const stats::Histogram *> stages[] = {
+        {"parse", &trace.parse_ms},
+        {"plan", &trace.plan_ms},
+        {"retrieve", &trace.retrieve_ms},
+        {"generate", &trace.generate_ms}};
+    for (const auto &[stage, ms] : stages) {
+        const std::string key = std::string("trace_") + stage;
+        frame += numberField(key + "_p50_ms", ms->percentile(50.0));
+        frame += numberField(key + "_p90_ms", ms->percentile(90.0));
+    }
     for (const auto &[name, r] : stats.by_retriever) {
         frame += ",\"" + jsonEscape(name) + "\":{\"asks\":" +
-                 std::to_string(r.asks);
-        frame += numberField("ttfe_p50_ms", r.ttfe_p50_ms);
-        frame += numberField("ttfe_p90_ms", r.ttfe_p90_ms);
-        frame += numberField("ttlb_p50_ms", r.ttlb_p50_ms);
-        frame += numberField("ttlb_p90_ms", r.ttlb_p90_ms);
+                 std::to_string(r.ttfe_ms.count());
+        frame += numberField("ttfe_p50_ms", r.ttfe_ms.percentile(50.0));
+        frame += numberField("ttfe_p90_ms", r.ttfe_ms.percentile(90.0));
+        frame += numberField("ttlb_p50_ms", r.ttlb_ms.percentile(50.0));
+        frame += numberField("ttlb_p90_ms", r.ttlb_ms.percentile(90.0));
         frame += "}";
     }
     frame += "}";

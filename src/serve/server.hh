@@ -38,6 +38,7 @@
 #include <memory>
 #include <string>
 
+#include "base/stats_util.hh"
 #include "core/engine_stats.hh"
 #include "db/database.hh"
 
@@ -130,17 +131,16 @@ struct ServeOptions
     std::size_t trace_sample_every = 0;
 };
 
-/** Per-retriever session latency percentiles. */
+/**
+ * Per-retriever session latency over completed asks (the number of
+ * asks is ttfe_ms.count()).
+ */
 struct RetrieverServeStats
 {
-    /** Completed ask sessions answered by this retriever. */
-    std::uint64_t asks = 0;
     /** Time-to-first-event: request read -> first frame written. */
-    double ttfe_p50_ms = 0.0;
-    double ttfe_p90_ms = 0.0;
+    stats::Histogram ttfe_ms;
     /** Time-to-last-byte: request read -> done frame written. */
-    double ttlb_p50_ms = 0.0;
-    double ttlb_p90_ms = 0.0;
+    stats::Histogram ttlb_ms;
 };
 
 /** Point-in-time serving statistics (STATS protocol verb). */
@@ -161,12 +161,14 @@ struct ServeStats
     std::uint64_t lease_timeouts = 0;
     /** Faults injected process-wide by armed failpoints (snapshot). */
     std::uint64_t faults_injected = 0;
-    /** Per-retriever TTFE/TTLB percentiles. */
+    /** Per-retriever TTFE/TTLB histograms. */
     std::map<std::string, RetrieverServeStats> by_retriever;
     /**
-     * Engine-side stats folded across every pooled engine: counters
-     * are exact sums; latency percentile fields report the worst
-     * pooled engine (a max, not a merged distribution).
+     * Engine-side stats folded across every pooled engine with
+     * EngineStats::operator+=: counters are exact sums and latency
+     * histograms merge, so a percentile is one over every pooled
+     * engine's samples, to within one bucket. Index and cache-tier
+     * totals come once from the shared shard set and cache.
      */
     core::EngineStats engine;
 };

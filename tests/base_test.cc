@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -387,20 +389,47 @@ TEST(StatsTest, RunningStatsMatchesBatch)
     EXPECT_EQ(rs.count(), xs.size());
 }
 
-TEST(StatsTest, HistogramBinning)
+TEST(StatsTest, MergedHistogramPercentilesWithinOneBucket)
 {
-    stats::Histogram h(0.0, 10.0, 5);
-    h.push(-5);  // clamps to bin 0
-    h.push(0);
-    h.push(9.99);
-    h.push(10);
-    h.push(49);
-    h.push(1000); // clamps to last bin
-    EXPECT_EQ(h.binCount(0), 3u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 10.0);
+    // Log-uniform latencies from 1 us to 10 s, dealt across three
+    // histograms (three engines) and merged.
+    cm::Rng rng(0x415dULL);
+    std::vector<double> samples(3000);
+    for (double &ms : samples)
+        ms = 1e-3 * std::pow(1e7, rng.nextDouble());
+    stats::Histogram parts[3];
+    stats::Histogram forward, backward;
+    const std::size_t before = g_allocations.load();
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        parts[i % 3].record(samples[i]);
+    for (int i = 0; i < 3; ++i) {
+        forward.merge(parts[i]);
+        backward.merge(parts[2 - i]);
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+
+    double sum = 0.0;
+    for (double ms : samples)
+        sum += ms;
+    const double mean = sum / static_cast<double>(samples.size());
+    EXPECT_EQ(forward.count(), samples.size());
+    EXPECT_NEAR(forward.mean(), mean, 1e-12 * mean);
+    std::sort(samples.begin(), samples.end());
+    for (const double p : {0.0, 1.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+        // The exact nearest-rank percentile: the ceil(p% of n)-th
+        // smallest sample, at least the first.
+        const auto rank = static_cast<std::size_t>(std::max(
+            1.0,
+            std::ceil(p * static_cast<double>(samples.size()) / 100.0)));
+        const double exact = samples[rank - 1];
+        EXPECT_NEAR(forward.percentile(p), exact, exact / 16 + 1e-3)
+            << "p" << p;
+        EXPECT_EQ(forward.percentile(p), backward.percentile(p))
+            << "p" << p;
+    }
+    EXPECT_EQ(stats::Histogram().count(), 0u);
+    EXPECT_EQ(stats::Histogram().mean(), 0.0);
+    EXPECT_EQ(stats::Histogram().percentile(50.0), 0.0);
 }
 
 TEST(StatsTest, SummaryBundle)

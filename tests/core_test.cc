@@ -348,19 +348,16 @@ TEST(EngineTest, TieredCacheByteIdenticalAndRecoversDemotions)
     }
 }
 
-TEST(EngineTest, CacheStatsAreSplitByRetriever)
+TEST(EngineTest, CacheStatsCountHitsAndMisses)
 {
     auto engine = defaultEngine();
     const auto q = suiteQuestions()[0];
     engine.ask(q).expect("miss");
     engine.ask(q).expect("hit");
     const auto stats = engine.stats();
-    ASSERT_EQ(stats.cache_by_retriever.count("sieve"), 1u);
-    const auto &sieve = stats.cache_by_retriever.at("sieve");
-    EXPECT_EQ(sieve.misses, 1u);
-    EXPECT_EQ(sieve.hits, 1u);
-    EXPECT_DOUBLE_EQ(sieve.hitRate(), 0.5);
-    EXPECT_EQ(stats.cache.hits, sieve.hits);
+    EXPECT_EQ(stats.cache.misses, 1u);
+    EXPECT_EQ(stats.cache.hits, 1u);
+    EXPECT_DOUBLE_EQ(stats.cache.hitRate(), 0.5);
 }
 
 TEST(EngineTest, SlotEqualPhrasingsShareOneRetrieval)
@@ -523,9 +520,35 @@ TEST(EngineTest, StatsCountQuestionsQualityAndLatency)
                   stats.quality_high,
               stats.questions);
     EXPECT_GT(stats.highQualityFraction(), 0.0);
-    EXPECT_LE(stats.latency_p50_ms, stats.latency_p90_ms);
-    EXPECT_LE(stats.latency_p90_ms, stats.latency_p99_ms);
-    EXPECT_GT(stats.latency_mean_ms, 0.0);
+    EXPECT_EQ(stats.latency_ms.count(), stats.questions);
+    EXPECT_LE(stats.latency_ms.percentile(50.0),
+              stats.latency_ms.percentile(90.0));
+    EXPECT_LE(stats.latency_ms.percentile(90.0),
+              stats.latency_ms.percentile(99.0));
+    EXPECT_GT(stats.latency_ms.mean(), 0.0);
+}
+
+TEST(EngineStatsTest, FoldMergesLatencyInsteadOfTakingTheWorstEngine)
+{
+    // A fast engine (90 answers at 0.1 ms) and a slow one (10 at
+    // 5 ms), folded the way Server::stats() folds its pool. A max over
+    // per-engine percentiles would report the slow engine's 5 ms as
+    // the pool's p50.
+    EngineStats fast, slow;
+    fast.questions = 90;
+    slow.questions = 10;
+    for (int i = 0; i < 90; ++i)
+        fast.latency_ms.record(0.1);
+    for (int i = 0; i < 10; ++i)
+        slow.latency_ms.record(5.0);
+    EngineStats pool;
+    pool += fast;
+    pool += slow;
+    EXPECT_EQ(pool.questions, 100u);
+    EXPECT_EQ(pool.latency_ms.count(), 100u);
+    EXPECT_NEAR(pool.latency_ms.percentile(50.0), 0.1, 0.1 / 16);
+    EXPECT_NEAR(pool.latency_ms.percentile(99.0), 5.0, 5.0 / 16);
+    EXPECT_NEAR(pool.latency_ms.mean(), 0.59, 1e-12);
 }
 
 TEST(ChatSessionTest, TranscriptAccumulates)

@@ -102,7 +102,7 @@ TEST(PromptTest, RenderIncludesShotsAndQuestion)
     EXPECT_NE(text.find("EXAMPLE 1:"), std::string::npos);
     EXPECT_NE(text.find("EXAMPLE 3:"), std::string::npos);
     EXPECT_NE(text.find("Q?"), std::string::npos);
-    EXPECT_TRUE(prompt.hasTrickShot());
+    EXPECT_TRUE(hasTrickShot(prompt.shots));
 }
 
 TEST(PromptTest, ShotModesProduceExpectedCounts)

@@ -539,8 +539,10 @@ TEST(EngineTraceTest, StatsAggregateTracedRequests)
                   stats.trace.slowest_retrieve +
                   stats.trace.slowest_generate,
               3u);
-    EXPECT_GE(stats.trace.retrieve_p90_ms, 0.0);
-    EXPECT_GE(stats.trace.generate_p50_ms, 0.0);
+    EXPECT_EQ(stats.trace.parse_ms.count(), 3u);
+    EXPECT_EQ(stats.trace.generate_ms.count(), 3u);
+    EXPECT_GE(stats.trace.retrieve_ms.percentile(90.0), 0.0);
+    EXPECT_GE(stats.trace.generate_ms.percentile(50.0), 0.0);
 }
 
 TEST(EngineTraceTest, RequestContextTracedDefaultsId)

@@ -174,6 +174,22 @@ TEST(ParserTest, PcVsAddressDisambiguation)
     EXPECT_EQ(*q.address, 0x2bfd401c63fULL);
 }
 
+TEST(ParserTest, SetNumberNeedsAWordBoundary)
+{
+    const auto parser = makeParser();
+    // "set " inside "offset" is not a set number...
+    const auto offset =
+        parser.parse("How many offset bits does a 64 byte line need?");
+    EXPECT_FALSE(offset.set_id.has_value());
+    EXPECT_EQ(offset.top_n, 64u);
+    // ...and "reset" must not hide the set number after it.
+    const auto reset = parser.parse(
+        "Since the reset of the counters, what is the hit rate of set 12 "
+        "in mcf under LRU?");
+    ASSERT_TRUE(reset.set_id.has_value());
+    EXPECT_EQ(*reset.set_id, 12u);
+}
+
 TEST(ParserTest, OverflowingNumbersAreOutOfRange)
 {
     const auto parser = makeParser();

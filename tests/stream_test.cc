@@ -543,9 +543,10 @@ TEST(AskStreamTest, StreamingStatsAreRecorded)
     // Every stream emits Parsed + Planned + chunks + deltas + Done.
     EXPECT_EQ(stats.stream.events,
               chunk_events + delta_events + 3 * questions.size());
-    EXPECT_GE(stats.stream.first_event_mean_ms, 0.0);
-    EXPECT_GE(stats.stream.first_event_p90_ms,
-              stats.stream.first_event_p50_ms);
+    EXPECT_EQ(stats.stream.first_event_ms.count(), questions.size());
+    EXPECT_GE(stats.stream.first_event_ms.mean(), 0.0);
+    EXPECT_GE(stats.stream.first_event_ms.percentile(90.0),
+              stats.stream.first_event_ms.percentile(50.0));
     // Streamed questions also count as served questions.
     EXPECT_EQ(stats.questions, questions.size());
     EXPECT_EQ(stats.batches, 0u);
