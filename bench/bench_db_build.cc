@@ -1,15 +1,16 @@
 /**
  * @file
  * Micro-bench for the parallel database build: constructs the same
- * 3-workload x 4-policy database sequentially (build_threads=1) and
- * on a 4-thread pool, reports both wall-clock times, and verifies the
+ * 3-workload x 4-policy database on one thread (build_threads=1) and
+ * with the default BuildOptions (one thread per hardware thread),
+ * reports both wall-clock times and the speedup, and verifies the
  * outputs are identical: keys, metadata and description strings, and
  * every column of every row, including the row-reference-backed
  * snapshot, victim and history columns. On a multicore host the
- * parallel build approaches the per-workload critical path; on a
- * single core it degrades to sequential cost plus noise — either way
- * the outputs must match. Exits 1 on the first mismatch; the timings
- * are printed, never checked.
+ * default build approaches the per-workload critical path; on a
+ * single core it is the one-thread build plus noise — either way the
+ * outputs must match. Exits 1 on the first mismatch; the speedup
+ * floor is CI's to check, since it depends on the host's core count.
  */
 
 #include <cstdio>
@@ -75,18 +76,18 @@ firstMismatch(const db::TraceDatabase &a, const db::TraceDatabase &b)
 int
 main()
 {
-    db::BuildOptions options;
     // Default 3 workloads x 4 policies; a bounded trace length keeps
     // the bench in seconds while every stage (generation, capture,
     // oracle, Parrot training, replay) still runs.
+    db::BuildOptions options;
     options.accesses_override = 120000;
 
-    options.build_threads = 1;
+    db::BuildOptions one_thread = options;
+    one_thread.build_threads = 1;
     Stopwatch seq_timer;
-    const auto sequential = db::buildDatabase(options);
+    const auto sequential = db::buildDatabase(one_thread);
     const double seq_ms = seq_timer.milliseconds();
 
-    options.build_threads = 4;
     Stopwatch par_timer;
     const auto parallel = db::buildDatabase(options);
     const double par_ms = par_timer.milliseconds();
@@ -95,11 +96,12 @@ main()
     std::printf("entries: %zu (%zu workloads x %zu policies)\n",
                 sequential.size(), options.workloads.size(),
                 options.policies.size());
-    std::printf("sequential (build_threads=1): %10.1f ms\n", seq_ms);
-    std::printf("parallel   (build_threads=4): %10.1f ms\n", par_ms);
+    std::printf("one thread (build_threads=1): %10.1f ms\n", seq_ms);
+    std::printf("default    (build_threads=%zu): %10.1f ms\n",
+                options.build_threads, par_ms);
     std::printf("speedup: %.2fx\n", par_ms > 0.0 ? seq_ms / par_ms : 0.0);
 
-    // Equivalence check: the parallel build must be byte-identical.
+    // Equivalence check: the default build must be byte-identical.
     const std::string mismatch = firstMismatch(sequential, parallel);
     if (!mismatch.empty())
         std::printf("MISMATCH at %s\n", mismatch.c_str());

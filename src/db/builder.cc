@@ -1,5 +1,6 @@
 #include "db/builder.hh"
 
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -49,13 +50,17 @@ buildMetadataString(const StatsExpert &expert)
 
 namespace {
 
-/** Build one entry by replaying a stream under one policy. */
-TraceEntry
+/**
+ * Build `entry` by replaying a stream under one policy, and return the
+ * statistics expert computed from its table.
+ */
+StatsExpert
 buildEntry(const std::string &workload_name,
            const std::string &workload_desc, policy::PolicyKind pk,
            const std::vector<sim::LlcAccess> &stream,
            const sim::OracleInfo &oracle, const sim::HierarchyConfig &cfg,
-           const trace::SymbolTable *symbols, std::uint32_t history_len)
+           const trace::SymbolTable *symbols, std::uint32_t history_len,
+           TraceEntry &entry)
 {
     std::unique_ptr<policy::ReplacementPolicy> pol;
     if (pk == policy::PolicyKind::Parrot) {
@@ -67,27 +72,26 @@ buildEntry(const std::string &workload_name,
         pol = policy::makePolicy(pk);
     }
 
-    TraceEntry entry;
     entry.workload = workload_name;
     entry.policy = policy::policyName(pk);
     entry.table.setSymbols(symbols);
     entry.table.setLineBytes(cfg.llc.line_bytes);
     entry.table.setHistoryLen(history_len);
-    entry.table.reserve(stream.size());
+    entry.table.reserve(stream.size(), cfg.llc.ways);
 
     sim::LlcReplayer replayer(cfg.llc, std::move(pol));
     replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
         entry.table.append(ev);
     });
 
-    const StatsExpert expert(entry.table);
+    StatsExpert expert(entry.table);
     entry.metadata = buildMetadataString(expert);
 
     std::ostringstream desc;
     desc << "Workload: " << workload_desc << "\nReplacement Policy: "
          << policy::policyDescription(pk);
     entry.description = desc.str();
-    return entry;
+    return expert;
 }
 
 } // namespace
@@ -101,37 +105,12 @@ buildDatabase(const BuildOptions &options)
             : std::max<std::size_t>(
                   std::thread::hardware_concurrency(), 1);
 
-    TraceDatabase db;
-    if (threads <= 1) {
-        // Sequential path: one workload's artifacts live at a time,
-        // so peak memory stays at a single stream.
-        for (const auto wk : options.workloads) {
-            auto model = trace::makeWorkload(wk);
-            const trace::SymbolTable *symbols =
-                db.addSymbols(model->info().name, model->symbols());
-            const auto cpu_trace =
-                options.accesses_override
-                    ? model->generate(options.accesses_override)
-                    : model->generate();
-            const auto stream =
-                sim::captureLlcStream(cpu_trace, options.hierarchy);
-            const auto oracle = sim::computeOracle(stream);
-            for (const auto pk : options.policies) {
-                db.addEntry(buildEntry(
-                    model->info().name, model->info().description, pk,
-                    stream, oracle, options.hierarchy, symbols,
-                    options.history_len));
-            }
-        }
-        return db;
-    }
-
-    // Parallel path. Every task is a pure function of its inputs
-    // (trace synthesis, replay, and Parrot training all draw from
-    // deterministic keyed generators), so the result is byte-identical
-    // to the sequential build; only wall-clock changes. Peak memory
-    // holds every workload's LLC stream at once — the price of the
-    // workload-level fan-out.
+    // Every task is a pure function of its inputs (trace synthesis,
+    // replay, and Parrot training all draw from deterministic keyed
+    // generators), so the result is byte-identical for any thread
+    // count; only wall-clock changes. With one thread parallelFor is
+    // the plain inline loop. Peak memory holds every workload's LLC
+    // stream at once, the price of the workload-level fan-out.
     struct WorkloadArtifacts
     {
         std::string name;
@@ -162,6 +141,7 @@ buildDatabase(const BuildOptions &options)
 
     // Symbol registration mutates the database: single-threaded, in
     // workload order, before any entry references the tables.
+    TraceDatabase db;
     std::vector<const trace::SymbolTable *> symbols(n_workloads);
     for (std::size_t wi = 0; wi < n_workloads; ++wi)
         symbols[wi] = db.addSymbols(arts[wi].name,
@@ -170,16 +150,16 @@ buildDatabase(const BuildOptions &options)
     // Stage 2: one task per (workload, policy) pair.
     const std::size_t n_policies = options.policies.size();
     std::vector<TraceEntry> entries(n_workloads * n_policies);
+    std::vector<std::optional<StatsExpert>> experts(entries.size());
     parallelFor(entries.size(), threads, [&](std::size_t t) {
         const WorkloadArtifacts &a = arts[t / n_policies];
-        entries[t] = buildEntry(a.name, a.description,
-                                options.policies[t % n_policies],
-                                a.stream, a.oracle, options.hierarchy,
-                                symbols[t / n_policies],
-                                options.history_len);
+        experts[t].emplace(buildEntry(
+            a.name, a.description, options.policies[t % n_policies],
+            a.stream, a.oracle, options.hierarchy,
+            symbols[t / n_policies], options.history_len, entries[t]));
     });
-    for (auto &entry : entries)
-        db.addEntry(std::move(entry));
+    for (std::size_t t = 0; t < entries.size(); ++t)
+        db.addEntry(std::move(entries[t]), std::move(*experts[t]));
     return db;
 }
 

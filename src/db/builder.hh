@@ -32,20 +32,16 @@ struct BuildOptions
     /** Preceding rows rendered as each row's access history. */
     std::uint32_t history_len = 4;
     /**
-     * Worker threads for the parallel build path: trace generation
-     * and oracle computation run once per workload, replays run once
-     * per (workload, policy) pair, both fanned out on a small pool.
-     * The output is byte-identical to the sequential build (tables,
-     * metadata strings, key ordering). 1 = sequential; 0 = one thread
-     * per hardware core.
-     *
-     * The default stays 1. On a 4-vCPU VM, 0 builds the default
-     * database ~2.5x faster, but the parallel path holds every
-     * workload's stream at once, and a serving process built that way
-     * peaked ~10% higher in RSS in all 10 serve_cold pairs measured.
-     * The README's database section records the serving-latency runs.
+     * Worker threads for the build: trace generation and oracle
+     * computation run once per workload, then replays run once per
+     * (workload, policy) pair, each stage fanned out on up to this
+     * many threads (never more than it has tasks), all joined before
+     * buildDatabase returns. The output is byte-identical for every
+     * thread count (tables, metadata strings, key ordering); 1 runs
+     * both stages inline on the calling thread. 0 = one thread per
+     * hardware thread.
      */
-    std::size_t build_threads = 1;
+    std::size_t build_threads = 0;
 };
 
 /** Build the metadata summary string from a computed expert. */

@@ -29,12 +29,11 @@ TraceDatabase::symbolsFor(const std::string &workload) const
 }
 
 void
-TraceDatabase::addEntry(TraceEntry entry)
+TraceDatabase::addEntry(TraceEntry entry, StatsExpert expert)
 {
     std::string key = keyFor(entry.workload, entry.policy);
-    // Replacing the whole shard discards any previously built expert;
-    // a once_flag cannot be re-armed in place.
-    auto shard = std::make_unique<TraceShard>(key, std::move(entry));
+    auto shard = std::make_unique<TraceShard>(key, std::move(entry),
+                                              std::move(expert));
     shards_[std::move(key)] = std::move(shard);
 }
 
@@ -56,7 +55,7 @@ const StatsExpert *
 TraceDatabase::statsFor(const std::string &key) const
 {
     const auto it = shards_.find(key);
-    return it == shards_.end() ? nullptr : it->second->stats();
+    return it == shards_.end() ? nullptr : &it->second->stats();
 }
 
 TraceShardView

@@ -9,9 +9,9 @@
  * symbol tables that back the string columns.
  *
  * Internally the database is partitioned into per-(workload, policy)
- * TraceShards (see db/shard.hh): each shard owns its entry and its
- * lazily built StatsExpert, so concurrent readers never contend on —
- * or race over — a global expert cache. Mutation (addEntry/addSymbols)
+ * TraceShards (see db/shard.hh): each shard owns its entry and the
+ * StatsExpert the builder computed from it, so concurrent readers share
+ * immutable experts and no global cache. Mutation (addEntry/addSymbols)
  * is build-phase only: it is not synchronized against readers, and
  * views handed out by shard()/shards() are invalidated by it.
  */
@@ -51,13 +51,14 @@ class TraceDatabase
         const;
 
     /**
-     * Add an entry (moves it in). Replacing an existing key swaps in
-     * a whole new shard: TraceEntry pointers, expert pointers, and
-     * shard views previously obtained for that key dangle afterwards.
-     * Mutation is build-phase only — never add entries while engines
-     * or retrievers hold views of this database.
+     * Add an entry with the expert computed from its table (both
+     * moved in). Replacing an existing key swaps in a whole new shard:
+     * TraceEntry pointers, expert pointers, and shard views previously
+     * obtained for that key dangle afterwards. Mutation is build-phase
+     * only — never add entries while engines or retrievers hold views
+     * of this database.
      */
-    void addEntry(TraceEntry entry);
+    void addEntry(TraceEntry entry, StatsExpert expert);
 
     /** Lookup by key; nullptr if absent. */
     const TraceEntry *find(const std::string &key) const;
@@ -67,10 +68,9 @@ class TraceDatabase
                            const std::string &policy) const;
 
     /**
-     * Lazily built statistics expert for an entry key. Thread-safe:
-     * the expert is constructed once under the owning shard's
-     * once_flag, so concurrent askBatch workers on the same (or
-     * sibling) keys never race.
+     * Statistics expert for an entry key; nullptr if absent. Experts
+     * are built with the database and immutable, so any number of
+     * threads may read them.
      */
     const StatsExpert *statsFor(const std::string &key) const;
 
@@ -94,7 +94,7 @@ class TraceDatabase
     std::size_t size() const { return shards_.size(); }
 
   private:
-    /** unique_ptr: shards hold a once_flag and need stable addresses. */
+    /** unique_ptr: views point at shards, which need stable addresses. */
     std::map<std::string, std::unique_ptr<TraceShard>> shards_;
     std::map<std::string, std::unique_ptr<trace::SymbolTable>> symbols_;
 };

@@ -15,15 +15,6 @@ shardKey(const std::string &workload, const std::string &policy)
     return workload + "_evictions_" + policy;
 }
 
-const StatsExpert *
-TraceShard::stats() const
-{
-    std::call_once(expert_once_, [this] {
-        expert_ = std::make_unique<StatsExpert>(entry_.table);
-    });
-    return expert_.get();
-}
-
 namespace {
 
 bool
@@ -97,7 +88,7 @@ const StatsExpert *
 ShardSet::statsFor(const std::string &key) const
 {
     const TraceShard *s = lookup(key);
-    return s ? s->stats() : nullptr;
+    return s ? &s->stats() : nullptr;
 }
 
 const TraceIndex *

@@ -4,9 +4,9 @@
  * organization, partitioned).
  *
  * A TraceShard is the unit of ownership behind one
- * `<workload>_evictions_<policy>` key: the TraceEntry, the lazily
- * built StatsExpert (constructed under a per-shard std::once_flag so
- * concurrent askBatch workers race-freely share one expert), and the
+ * `<workload>_evictions_<policy>` key: the TraceEntry, the StatsExpert
+ * the builder computed from its table (immutable, so concurrent
+ * askBatch workers share it without synchronization), and the
  * workload's shared symbol table reached through the entry's table.
  *
  * TraceShardView is a cheap handle to one shard. ShardSet is an
@@ -19,8 +19,6 @@
 #ifndef CACHEMIND_DB_SHARD_HH
 #define CACHEMIND_DB_SHARD_HH
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -50,15 +48,16 @@ struct TraceEntry
 
 /**
  * Unit of ownership for one (workload, policy) pair. Shards are
- * immutable after construction except for the expert cache, which is
- * built exactly once under the once_flag — safe to hit from any
- * number of threads.
+ * immutable after construction except for the table's lazily built
+ * postings index, which is built exactly once under its once_flag —
+ * safe to hit from any number of threads.
  */
 class TraceShard
 {
   public:
-    TraceShard(std::string key, TraceEntry entry)
-        : key_(std::move(key)), entry_(std::move(entry))
+    TraceShard(std::string key, TraceEntry entry, StatsExpert expert)
+        : key_(std::move(key)), entry_(std::move(entry)),
+          expert_(std::move(expert))
     {
     }
     TraceShard(const TraceShard &) = delete;
@@ -75,14 +74,14 @@ class TraceShard
         return entry_.table.symbols();
     }
 
-    /** The shard's statistics expert, built once, thread-safe. */
-    const StatsExpert *stats() const;
+    /** The shard's statistics expert, computed by the builder. */
+    const StatsExpert &stats() const { return expert_; }
 
     /**
      * The shard's postings index, built once under the table's
-     * once_flag (same lazy pattern as stats()), thread-safe. Returns
-     * nullptr when the one-time build failed — callers degrade to the
-     * reference scan path for this shard.
+     * once_flag, thread-safe. Returns nullptr when the one-time build
+     * failed — callers degrade to the reference scan path for this
+     * shard.
      */
     const TraceIndex *index() const
     {
@@ -92,8 +91,7 @@ class TraceShard
   private:
     std::string key_;
     TraceEntry entry_;
-    mutable std::once_flag expert_once_;
-    mutable std::unique_ptr<StatsExpert> expert_;
+    StatsExpert expert_;
 };
 
 /**
@@ -117,7 +115,7 @@ class TraceShardView
     const StatsExpert *
     stats() const
     {
-        return shard_ ? shard_->stats() : nullptr;
+        return shard_ ? &shard_->stats() : nullptr;
     }
 
     /**
@@ -177,7 +175,7 @@ class ShardSet
     const TraceEntry *find(const std::string &workload,
                            const std::string &policy) const;
 
-    /** Thread-safe lazily built expert; nullptr if absent. */
+    /** The key's statistics expert; nullptr if absent. */
     const StatsExpert *statsFor(const std::string &key) const;
 
     /** Thread-safe lazily built postings index; nullptr if absent. */

@@ -19,7 +19,7 @@ struct PcAccum
 
 } // namespace
 
-StatsExpert::StatsExpert(const TraceTable &table) : table_(table)
+StatsExpert::StatsExpert(const TraceTable &table)
 {
     std::map<std::uint64_t, PcAccum> accum;
 

@@ -105,7 +105,8 @@ struct TraceSummary
 
 /**
  * Aggregator over one TraceTable. All statistics are computed once at
- * construction (single pass where possible) and served from maps.
+ * construction (single pass where possible) and served from maps; the
+ * expert keeps no reference to the table, so it is a plain value.
  */
 class StatsExpert
 {
@@ -137,7 +138,6 @@ class StatsExpert
     std::vector<PcStats> topPcs(std::size_t n, PcOrder order) const;
 
   private:
-    const TraceTable &table_;
     std::map<std::uint64_t, PcStats> pc_stats_;
     std::map<std::uint32_t, SetStats> set_stats_;
     TraceSummary summary_;

@@ -59,26 +59,28 @@ TraceTable::indexIfBuilt() const
 }
 
 void
-TraceTable::reserve(std::size_t n)
+TraceTable::reserve(std::size_t rows, std::uint32_t ways)
 {
-    pc_id_.reserve(n);
-    addr_id_.reserve(n);
-    set_.reserve(n);
-    flags_.reserve(n);
-    miss_type_.reserve(n);
-    reuse_.reserve(n);
-    recency_.reserve(n);
-    evicted_reuse_.reserve(n);
-    evicted_row_.reserve(n);
-    snap_off_.reserve(n + 1);
-    score_off_.reserve(n + 1);
+    pc_id_.reserve(rows);
+    addr_id_.reserve(rows);
+    set_.reserve(rows);
+    flags_.reserve(rows);
+    miss_type_.reserve(rows);
+    reuse_.reserve(rows);
+    recency_.reserve(rows);
+    evicted_reuse_.reserve(rows);
+    evicted_row_.reserve(rows);
+    snap_off_.reserve(rows + 1);
+    score_off_.reserve(rows + 1);
+    snap_row_.reserve(rows * ways);
+    scores_.reserve(rows * ways);
 }
 
 std::uint32_t
 TraceTable::internPc(std::uint64_t pc)
 {
-    auto [it, inserted] =
-        pc_lookup_.emplace(pc, static_cast<std::uint32_t>(pcs_.size()));
+    auto [it, inserted] = pc_lookup_.try_emplace(
+        pc, static_cast<std::uint32_t>(pcs_.size()));
     if (inserted)
         pcs_.push_back(pc);
     return it->second;
@@ -87,7 +89,7 @@ TraceTable::internPc(std::uint64_t pc)
 std::uint32_t
 TraceTable::internAddr(std::uint64_t addr)
 {
-    auto [it, inserted] = addr_lookup_.emplace(
+    auto [it, inserted] = addr_lookup_.try_emplace(
         addr, static_cast<std::uint32_t>(addrs_.size()));
     if (inserted)
         addrs_.push_back(addr);

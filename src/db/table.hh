@@ -109,7 +109,11 @@ class TraceTable
     /** Rows rendered as each row's recent_access_history. */
     void setHistoryLen(std::uint32_t n) { history_len_ = n; }
 
-    void reserve(std::size_t n);
+    /**
+     * Reserve every column for `rows` rows, and the snapshot and score
+     * pools for `ways` entries per row: one per way of the row's set.
+     */
+    void reserve(std::size_t rows, std::uint32_t ways);
 
     /**
      * Append one replay event as row `ev.index`, which must equal
@@ -213,10 +217,9 @@ class TraceTable
 
     /**
      * The table's postings index, built lazily exactly once under a
-     * once_flag (same pattern as the shard's StatsExpert) — safe to
-     * hit from any number of concurrent readers. Asserts that the
-     * build succeeded; callers that can degrade should use
-     * indexOrFallback() instead.
+     * once_flag — safe to hit from any number of concurrent readers.
+     * Asserts that the build succeeded; callers that can degrade
+     * should use indexOrFallback() instead.
      */
     const TraceIndex &index() const;
     /**

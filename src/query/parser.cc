@@ -174,19 +174,26 @@ NlQueryParser::classifyIntent(const std::string &lower,
                        "variance", "sum of", "maximum", "minimum"})) {
         return QueryIntent::Arithmetic;
     }
+    // "From the unique PCs, identify the PC causing the most misses"
+    // names the listing but asks for the top of it: a TopPcs cue wins
+    // over the ListPcs cues.
+    const auto top_pcs_cue = [&lower] {
+        return hasAny(lower, {"most cache misses", "most misses",
+                              "most evictions", "causing the most",
+                              "dominant miss", "top pcs", "identify pcs",
+                              "bypass candidate", "suitable for bypass"});
+    };
     if (hasAny(lower, {"unique pcs", "all pcs", "list pcs",
                        "list all pcs", "unique program counters",
-                       "list the pcs"})) {
+                       "list the pcs"}) &&
+        !top_pcs_cue()) {
         return QueryIntent::ListPcs;
     }
     if (hasAny(lower, {"unique cache sets", "unique sets", "list sets",
                        "cache sets in ascending"})) {
         return QueryIntent::ListSets;
     }
-    if (hasAny(lower, {"most cache misses", "most misses",
-                       "most evictions", "causing the most",
-                       "dominant miss", "top pcs", "identify pcs",
-                       "bypass candidate", "suitable for bypass"})) {
+    if (top_pcs_cue()) {
         return QueryIntent::TopPcs;
     }
     if (slots.pc && slots.address) {

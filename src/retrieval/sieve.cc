@@ -163,8 +163,8 @@ SieveRetriever::retrieveParsed(const ParsedQuery &parsed,
         "'.";
     // First evidence on the wire before any heavyweight per-shard
     // work: the overview goes out ahead of the premise scan and the
-    // once-per-shard StatsExpert build below, so a streaming consumer
-    // sees the resolved trace at a fraction of full retrieval time.
+    // row slice below, so a streaming consumer sees the resolved trace
+    // at a fraction of full retrieval time.
     // Chunk text is only ever formatted for an active sink — the
     // blocking path (NullEvidenceSink) skips it entirely.
     if (sink.active()) {

@@ -49,11 +49,11 @@ class SieveRetriever : public Retriever
     const char *name() const override { return "sieve"; }
     using Retriever::retrieveParsed;
     /**
-     * Primary implementation: emits the overview before the (costly,
-     * once-per-shard) statistics expert is built, then the premise
-     * check, the row slice, per-PC statistics, and the intent-specific
-     * analysis as each is assembled. The bundle is byte-identical to
-     * the blocking overload — both run this code path.
+     * Primary implementation: emits the overview before any per-shard
+     * work, then the premise check, the row slice, per-PC statistics,
+     * and the intent-specific analysis as each is assembled. The
+     * bundle is byte-identical to the blocking overload — both run
+     * this code path.
      */
     ContextBundle retrieveParsed(const query::ParsedQuery &parsed,
                                  EvidenceSink &sink) override;

@@ -139,14 +139,14 @@ Cache::linesOf(std::uint32_t set) const
     return sets_[set];
 }
 
-std::vector<std::uint64_t>
-Cache::setScores(std::uint32_t set) const
+void
+Cache::setScores(std::uint32_t set,
+                 std::vector<std::uint64_t> &scores) const
 {
     CM_ASSERT(set < cfg_.sets, "set index out of range");
-    std::vector<std::uint64_t> scores(cfg_.ways, 0);
+    scores.resize(cfg_.ways);
     for (std::uint32_t w = 0; w < cfg_.ways; ++w)
         scores[w] = policy_->lineScore(set, w);
-    return scores;
 }
 
 } // namespace cachemind::sim

@@ -120,8 +120,12 @@ class Cache
     /** Resident line metadata of one set (ways entries). */
     const std::vector<policy::LineMeta> &linesOf(std::uint32_t set) const;
 
-    /** Policy score of each way in a set (database snapshot column). */
-    std::vector<std::uint64_t> setScores(std::uint32_t set) const;
+    /**
+     * Policy score of each way in a set (database snapshot column),
+     * written into `scores`, which keeps its capacity across calls.
+     */
+    void setScores(std::uint32_t set,
+                   std::vector<std::uint64_t> &scores) const;
 
     /**
      * External per-PC bypass filter; when it returns true the missing

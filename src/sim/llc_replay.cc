@@ -140,6 +140,10 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         static_cast<std::uint64_t>(cache_->config().sets) *
         cache_->config().ways;
 
+    const bool want_event = static_cast<bool>(cb);
+    // One event for the whole replay: every field is assigned on every
+    // access, and the two vectors keep their capacity.
+    ReplayEvent ev;
     for (std::size_t i = 0; i < stream.size(); ++i) {
         const LlcAccess &a = stream[i];
         policy::AccessInfo info;
@@ -151,16 +155,18 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         if (oracle)
             info.next_use = oracle->next_use[i];
 
-        ReplayEvent ev;
-        const bool want_event = static_cast<bool>(cb);
         const std::uint32_t set = cache_->setOf(a.line);
-        if (want_event && i % snapshot_every == 0) {
-            for (const auto &l : cache_->linesOf(set)) {
-                if (l.valid)
-                    ev.snapshot.push_back(SnapshotEntry{
-                        l.last_pc, l.line, l.last_access_index});
+        if (want_event) {
+            ev.snapshot.clear();
+            ev.scores.clear();
+            if (i % snapshot_every == 0) {
+                for (const auto &l : cache_->linesOf(set)) {
+                    if (l.valid)
+                        ev.snapshot.push_back(SnapshotEntry{
+                            l.last_pc, l.line, l.last_access_index});
+                }
+                cache_->setScores(set, ev.scores);
             }
-            ev.scores = cache_->setScores(set);
         }
 
         // Victim forward-reuse info must be captured before access()
@@ -177,15 +183,15 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         ev.set = res.set;
         ev.hit = res.hit;
         ev.bypassed = res.bypassed;
+        ev.recency = kNoPrevUse;
+        ev.reuse_distance = policy::kNoNextUse;
         if (oracle) {
-            ev.recency = oracle->prev_use[i] == kNoPrevUse
-                             ? kNoPrevUse
-                             : i - oracle->prev_use[i];
-            ev.reuse_distance =
-                oracle->next_use[i] == policy::kNoNextUse
-                    ? policy::kNoNextUse
-                    : oracle->next_use[i] - i;
+            if (oracle->prev_use[i] != kNoPrevUse)
+                ev.recency = i - oracle->prev_use[i];
+            if (oracle->next_use[i] != policy::kNoNextUse)
+                ev.reuse_distance = oracle->next_use[i] - i;
         }
+        ev.miss_type = MissType::None;
         if (!res.hit) {
             if (!oracle || oracle->prev_use[i] == kNoPrevUse) {
                 ev.miss_type = MissType::Compulsory;
@@ -195,27 +201,28 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
                 ev.miss_type = MissType::Conflict;
             }
         }
-        if (res.evicted) {
-            ev.has_victim = true;
-            ev.evicted_line = res.evicted_line;
-            ev.evicted_pc = res.evicted_pc;
-            ev.evicted_last_index = res.evicted_last_index;
-            if (oracle) {
-                // The victim's next use after its last touch is the
-                // next use after now (hits refresh last touch).
-                const std::uint64_t vlast = res.evicted_last_index;
-                const std::uint64_t vnext = oracle->next_use[vlast];
-                if (vnext != policy::kNoNextUse && vnext > i)
-                    ev.evicted_reuse_distance = vnext - i;
-                const bool evicted_finite =
-                    ev.evicted_reuse_distance != policy::kNoNextUse;
-                const bool inserted_finite =
-                    ev.reuse_distance != policy::kNoNextUse;
-                ev.wrong_eviction =
-                    evicted_finite &&
-                    (!inserted_finite ||
-                     ev.evicted_reuse_distance < ev.reuse_distance);
-            }
+        // The victim fields are 0 in a result without an eviction.
+        ev.has_victim = res.evicted;
+        ev.evicted_line = res.evicted_line;
+        ev.evicted_pc = res.evicted_pc;
+        ev.evicted_last_index = res.evicted_last_index;
+        ev.evicted_reuse_distance = policy::kNoNextUse;
+        ev.wrong_eviction = false;
+        if (res.evicted && oracle) {
+            // The victim's next use after its last touch is the next
+            // use after now (hits refresh last touch).
+            const std::uint64_t vnext =
+                oracle->next_use[res.evicted_last_index];
+            if (vnext != policy::kNoNextUse && vnext > i)
+                ev.evicted_reuse_distance = vnext - i;
+            const bool evicted_finite =
+                ev.evicted_reuse_distance != policy::kNoNextUse;
+            const bool inserted_finite =
+                ev.reuse_distance != policy::kNoNextUse;
+            ev.wrong_eviction =
+                evicted_finite &&
+                (!inserted_finite ||
+                 ev.evicted_reuse_distance < ev.reuse_distance);
         }
         cb(ev);
     }

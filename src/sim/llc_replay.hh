@@ -118,6 +118,11 @@ struct ReplayEvent
 class LlcReplayer
 {
   public:
+    /**
+     * Called once per access. The replayer reuses one event for the
+     * whole replay, so the reference is valid only during the call; a
+     * callback that keeps events copies them.
+     */
     using EventCallback = std::function<void(const ReplayEvent &)>;
 
     LlcReplayer(CacheConfig cfg,

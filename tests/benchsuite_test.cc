@@ -156,6 +156,93 @@ expectSameRanking(const std::vector<text::NameMatch> &got,
     }
 }
 
+/** Streaming FNV-1a over the little-endian bytes of each value added. */
+class Fnv1a
+{
+  public:
+    template <typename T>
+    void
+    add(T v)
+    {
+        const auto bits = static_cast<std::uint64_t>(v);
+        for (std::size_t b = 0; b < sizeof(T); ++b)
+            byte(static_cast<std::uint8_t>(bits >> (8 * b)));
+    }
+
+    void
+    add(const std::string &s)
+    {
+        add<std::uint64_t>(s.size());
+        for (const char c : s)
+            byte(static_cast<std::uint8_t>(c));
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    byte(std::uint8_t b)
+    {
+        h_ ^= b;
+        h_ *= 0x100000001b3ULL;
+    }
+
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * One digest of a whole database: every entry's strings, every
+ * columnar accessor of every row, and the reference-backed snapshot,
+ * score and history columns of every 16th row.
+ */
+std::uint64_t
+databaseDigest(const db::TraceDatabase &database)
+{
+    Fnv1a h;
+    for (const auto &key : database.keys()) {
+        const auto *entry = database.find(key);
+        h.add(key);
+        h.add(entry->workload);
+        h.add(entry->policy);
+        h.add(entry->metadata);
+        h.add(entry->description);
+        const db::TraceTable &t = entry->table;
+        h.add<std::uint64_t>(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            h.add(t.pcAt(i));
+            h.add(t.addressAt(i));
+            h.add(t.setAt(i));
+            h.add(t.isMissAt(i));
+            h.add(t.bypassedAt(i));
+            h.add(t.hasVictimAt(i));
+            h.add(t.wrongEvictionAt(i));
+            h.add(static_cast<std::uint8_t>(t.missTypeAt(i)));
+            h.add(t.reuseDistanceAt(i));
+            h.add(t.recencyAt(i));
+            h.add(t.evictedReuseDistanceAt(i));
+            h.add(t.evictedAddressAt(i));
+            h.add(t.evictedPcAt(i));
+            if (i % 16 != 0)
+                continue;
+            const db::AccessRow row = t.row(i);
+            h.add<std::uint64_t>(row.current_cache_lines.size());
+            for (const auto &line : row.current_cache_lines) {
+                h.add(line.pc);
+                h.add(line.address);
+            }
+            h.add<std::uint64_t>(row.cache_line_eviction_scores.size());
+            for (const auto score : row.cache_line_eviction_scores)
+                h.add(score);
+            h.add<std::uint64_t>(row.recent_access_history.size());
+            for (const auto &past : row.recent_access_history) {
+                h.add(past.pc);
+                h.add(past.address);
+            }
+        }
+    }
+    return h.value();
+}
+
 /** Digest of every question's slot key and intent, in order. */
 std::uint64_t
 slotDigest(const std::vector<std::string> &questions)
@@ -470,6 +557,17 @@ TEST(ParserIdentityTest, SlotKeysMatchTheRecordedDigests)
     ASSERT_EQ(perPcQuestions().size(), 609u);
     EXPECT_EQ(slotDigest(perPcQuestions()), 0xacc729fe05a7c121ULL);
     EXPECT_EQ(slotDigest(perAccessQuestions()), 0x80ed260e0638982fULL);
+}
+
+// Every answer is grounded in the default database, so its bytes are
+// the build's contract. The digest was recorded from the one-thread
+// build that allocated a fresh replay event per access. Equivalence
+// tests across thread counts cannot catch a field that a reused
+// event carries over from the previous access; this can.
+TEST(DatabaseIdentityTest, DefaultDatabaseMatchesTheRecordedDigest)
+{
+    ASSERT_EQ(sharedDb().size(), 12u);
+    EXPECT_EQ(databaseDigest(sharedDb()), 0xcb5b61ee9042b092ULL);
 }
 
 TEST(ParserIdentityTest, NameIndexRanksExactlyLikeRankNames)

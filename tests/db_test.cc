@@ -425,10 +425,8 @@ TEST(DatabaseTest, StatsForIsThreadSafeOnOverlappingKeys)
     const auto keys = db.keys();
     ASSERT_EQ(keys.size(), 2u);
 
-    // Hammer the lazy expert cache from 8 threads on overlapping (and
-    // identical) keys. Pre-fix, the unsynchronized emplace into the
-    // expert map raced the moment two threads touched sibling keys;
-    // now the per-shard once_flag makes every observation identical.
+    // Hammer statsFor from 8 threads on overlapping (and identical)
+    // keys: every observation must be the key's one expert.
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kIters = 200;
     std::vector<std::vector<const StatsExpert *>> seen(kThreads);

@@ -10,6 +10,8 @@
  *    loopback server, whose done frames carry the engine's answers.
  *  - Figure 5: averaged over the five backends, accuracy rises from
  *    Low to Medium to High retrieval-context quality.
+ *  - Figure 12: the prefetch chat's answer names the dominant
+ *    miss-causing PC.
  *
  * Table 2's Belady >= LRU ordering is pinned in sim_test
  * (ReplayTest.BeladyNeverBelowLruHitRate).
@@ -22,11 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "base/str.hh"
 #include "benchsuite/generator.hh"
 #include "benchsuite/grader.hh"
 #include "benchsuite/harness.hh"
 #include "core/cachemind.hh"
 #include "db/builder.hh"
+#include "insights/insights.hh"
 #include "retrieval/cache.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -268,4 +272,30 @@ TEST(PaperClaimsTest, Figure5AccuracyRisesWithContextQuality)
     EXPECT_NEAR(avg[2], 69.2, kPrinted);
     EXPECT_LT(avg[0], avg[1]);
     EXPECT_LT(avg[1], avg[2]);
+}
+
+TEST(PaperClaimsTest, Figure12ChatNamesTheDominantMissPc)
+{
+    // bench_usecase_prefetch's chat: list the PCs, then ask which one
+    // causes the most misses. The answer must name the PC that the
+    // prefetch intervention is built around.
+    const auto database = db::buildSingleDatabase(
+        trace::WorkloadKind::Microbench, policy::PolicyKind::Lru);
+    auto engine = core::CacheMind::Builder(database)
+                      .withRetriever("ranger")
+                      .withBackend("gpt-4o")
+                      .build()
+                      .expect("Figure 12 engine");
+    core::ChatSession chat(engine);
+    chat.ask("List all unique PCs in the microbench workload under LRU.")
+        .expect("first turn");
+    const auto second =
+        chat.ask("From the unique PCs, identify the PC causing the most "
+                 "cache misses in the microbench workload under LRU.")
+            .expect("second turn");
+    const auto named = str::extractHexTokens(second.text);
+    ASSERT_FALSE(named.empty()) << second.text;
+    EXPECT_EQ(named.front(),
+              insights::findDominantMissPc(database, "microbench", "lru").pc)
+        << second.text;
 }

@@ -68,7 +68,8 @@ TEST(LruPolicyTest, ScoreGrowsWithAge)
 {
     Cache cache(tinyConfig(1, 4), std::make_unique<LruPolicy>());
     driveLines(cache, {1, 2, 3, 4});
-    const auto scores = cache.setScores(0);
+    std::vector<std::uint64_t> scores;
+    cache.setScores(0, scores);
     // Way 0 holds the oldest line -> largest evictability score.
     EXPECT_GT(scores[0], scores[3]);
 }
@@ -146,7 +147,8 @@ TEST(SrripPolicyTest, HitPromotesToNearRrpv)
 {
     Cache cache(tinyConfig(1, 2), std::make_unique<SrripPolicy>());
     driveLines(cache, {1, 2, 1});
-    const auto scores = cache.setScores(0);
+    std::vector<std::uint64_t> scores;
+    cache.setScores(0, scores);
     EXPECT_EQ(scores[0], 0u); // line 1 promoted on hit
     EXPECT_GT(scores[1], 0u);
 }

@@ -147,6 +147,24 @@ TEST(ParserTest, ListingsAndSets)
     EXPECT_EQ(hot.top_n, 5u);
 }
 
+TEST(ParserTest, ASuperlativeOutranksThePcListing)
+{
+    const auto parser = makeParser();
+    // Figure 12's second turn names the listing it picks from, but asks
+    // for the one PC with the most misses.
+    const auto top = parser.parse(
+        "From the unique PCs, identify the PC causing the most cache "
+        "misses in the microbench workload under LRU.");
+    EXPECT_EQ(top.intent, QueryIntent::TopPcs);
+    ASSERT_TRUE(top.hasWorkload());
+    EXPECT_EQ(top.workload(), "microbench");
+    EXPECT_EQ(parser
+                  .parse("List all unique PCs in the microbench "
+                         "workload under LRU.")
+                  .intent,
+              QueryIntent::ListPcs);
+}
+
 TEST(ParserTest, ConceptQuestions)
 {
     const auto parser = makeParser();

@@ -227,6 +227,64 @@ TEST(ReplayTest, SnapshotCapturesResidentLines)
     EXPECT_EQ(events[2].scores.size(), 4u);
 }
 
+TEST(ReplayTest, EventsCarryNothingFromThePreviousAccess)
+{
+    // 2 sets x 2 ways, LRU. Even lines map to set 0, odd to set 1.
+    std::vector<LlcAccess> s;
+    const std::uint64_t lines[] = {
+        0, 2, // fill set 0
+        4,    // evicts line 0, needed again at 5; 4 never is: wrong
+        2,    // hit
+        1,    // miss into the empty set 1: no victim
+        0};
+    for (const auto line : lines)
+        s.push_back(LlcAccess{0x500 + line, line * 64, line,
+                              trace::AccessType::Load});
+    const auto oracle = computeOracle(s);
+    LlcReplayer rep(CacheConfig{"llc", 2, 2, 64, 1, 4},
+                    std::make_unique<LruPolicy>());
+    std::vector<ReplayEvent> events;
+    rep.replay(
+        s, &oracle,
+        [&events](const ReplayEvent &ev) { events.push_back(ev); },
+        /*snapshot_every=*/2);
+    ASSERT_EQ(events.size(), 6u);
+
+    const ReplayEvent &evicting = events[2];
+    ASSERT_TRUE(evicting.has_victim);
+    EXPECT_TRUE(evicting.wrong_eviction);
+    EXPECT_EQ(evicting.evicted_line, 0u);
+    EXPECT_EQ(evicting.evicted_pc, 0x500u);
+    EXPECT_EQ(evicting.evicted_reuse_distance, 3u);
+    EXPECT_EQ(evicting.snapshot.size(), 2u);
+    EXPECT_EQ(evicting.scores.size(), 2u);
+
+    for (const std::size_t i : {3u, 4u}) {
+        const ReplayEvent &ev = events[i];
+        EXPECT_EQ(ev.index, i);
+        EXPECT_FALSE(ev.has_victim) << i;
+        EXPECT_EQ(ev.evicted_line, 0u) << i;
+        EXPECT_EQ(ev.evicted_pc, 0u) << i;
+        EXPECT_EQ(ev.evicted_last_index, 0u) << i;
+        EXPECT_EQ(ev.evicted_reuse_distance, kNoNextUse) << i;
+        EXPECT_FALSE(ev.wrong_eviction) << i;
+    }
+    EXPECT_TRUE(events[3].hit);
+    EXPECT_EQ(events[3].miss_type, MissType::None);
+    EXPECT_FALSE(events[4].hit);
+    EXPECT_EQ(events[4].miss_type, MissType::Compulsory);
+
+    // Only even events are snapshotted; the skipped ones are empty even
+    // right after a full snapshot.
+    for (const std::size_t i : {1u, 3u, 5u}) {
+        EXPECT_TRUE(events[i].snapshot.empty()) << i;
+        EXPECT_TRUE(events[i].scores.empty()) << i;
+    }
+    // Set 1 is empty at access 4: no resident lines, one score per way.
+    EXPECT_TRUE(events[4].snapshot.empty());
+    EXPECT_EQ(events[4].scores.size(), 2u);
+}
+
 TEST(ReplayTest, BeladyNeverBelowLruHitRate)
 {
     // Belady must dominate LRU on any stream (with bypass allowed).
