@@ -728,11 +728,13 @@ static void
 BM_ServeRoundTrip(benchmark::State &state)
 {
     // One line-protocol ask round trip through the real serving
-    // path: TCP write -> the session thread runs the pipeline and
-    // writes each event as a frame -> done, against a warm pooled
-    // engine with the shared retrieval cache on. The gap between this and BM_AskStreamFirstEvent's blocking
-    // arm is the serving overhead itself (framing, socket hops,
-    // session bookkeeping), which is what this entry tracks.
+    // path: TCP write -> the session thread runs the pipeline, buffers
+    // each event's frame and writes the buffer at the engine's flush
+    // points (two writes once the question's bundle is resident) ->
+    // done, against a warm pooled engine with the shared retrieval
+    // cache on. The gap between this and BM_AskStreamFirstEvent's
+    // blocking arm is the serving overhead itself (framing, socket
+    // hops, session bookkeeping), which is what this entry tracks.
     static serve::Server *server = [] {
         serve::ServeOptions opts;
         opts.max_sessions = 4;

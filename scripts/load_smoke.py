@@ -22,8 +22,15 @@ still end in a typed terminal frame — ``done`` (degraded or not) or
 ``deadline_exceeded`` — within deadline + slack + a scheduling
 allowance, exercising the deadline path under real concurrency.
 
+The clients count every frame they read. Once they are done, one more
+connection asks for ``stats``: the server buffers an answer's frames
+and writes them at a few flush points, so its ``writes`` counter must
+be below the frames read. A server that wrote each frame on its own
+would make exactly as many writes as there are frames.
+
 Exit status: 0 when every client saw well-formed, byte-consistent
-streams; 1 otherwise.
+streams and the server wrote fewer times than it sent frames; 1
+otherwise.
 
 Usage:
     load_smoke.py /path/to/example_serve_client [--clients N]
@@ -64,12 +71,14 @@ def recv_lines(sock):
         buf += chunk
 
 
-def run_client(port, client_id, asks, deadline_ms, errors):
+def run_client(port, client_id, asks, deadline_ms, errors, frames):
+    read = 0
     try:
         sock = socket.create_connection(("127.0.0.1", port), timeout=120)
         sock.settimeout(120)
         lines = recv_lines(sock)
         hello = json.loads(next(lines))
+        read += 1
         if hello.get("frame") != "hello":
             raise AssertionError(f"expected hello, got {hello}")
         for ask in range(asks):
@@ -91,6 +100,7 @@ def run_client(port, client_id, asks, deadline_ms, errors):
             deltas, terminal, done = "", None, None
             for raw in lines:
                 frame = json.loads(raw)  # malformed frame raises here
+                read += 1
                 kind = frame["frame"]
                 if frame.get("id") != rid:
                     raise AssertionError(
@@ -124,6 +134,27 @@ def run_client(port, client_id, asks, deadline_ms, errors):
         sock.close()
     except Exception as exc:  # noqa: BLE001 - collected and reported
         errors.append(f"client {client_id}: {exc!r}")
+    frames.append(read)
+
+
+def server_writes(port):
+    """Read STATS ``writes`` over a fresh connection.
+
+    Returns (writes, frames read on this connection before the stats
+    reply); the snapshot counts this connection's hello write.
+    """
+    sock = socket.create_connection(("127.0.0.1", port), timeout=120)
+    sock.settimeout(120)
+    try:
+        lines = recv_lines(sock)
+        hello = json.loads(next(lines))
+        if hello.get("frame") != "hello":
+            raise AssertionError(f"expected hello, got {hello}")
+        sock.sendall(b'{"op":"stats","id":"writes"}\n')
+        stats = json.loads(next(lines))
+        return int(stats["writes"]), 1
+    finally:
+        sock.close()
 
 
 def main():
@@ -152,10 +183,11 @@ def main():
               f"{args.clients} clients x {args.asks} asks")
 
         errors = []
+        frames = []
         threads = [
             threading.Thread(target=run_client,
                              args=(port, i, args.asks,
-                                   args.deadline_ms, errors))
+                                   args.deadline_ms, errors, frames))
             for i in range(args.clients)
         ]
         for t in threads:
@@ -169,6 +201,15 @@ def main():
             return 1
         print(f"OK: {args.clients * args.asks} streams, "
               "zero malformed frames")
+
+        writes, stats_frames = server_writes(port)
+        read = sum(frames) + stats_frames
+        if writes >= read:
+            print(f"FAIL: the server made {writes} socket writes for "
+                  f"{read} frames read; it does not coalesce frames",
+                  file=sys.stderr)
+            return 1
+        print(f"OK: {writes} socket writes for {read} frames read")
         return 0
     finally:
         try:

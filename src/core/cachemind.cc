@@ -164,12 +164,13 @@ makeEvent(StreamEvent::Kind kind, std::uint32_t span)
 /**
  * The one sink of a pipeline run. With an event sink it pushes every
  * StreamEvent — stage boundaries, evidence sections, answer deltas —
- * and keeps the counts EngineStats.stream reports; when the request
- * is traced each evidence section also becomes a "section:<label>"
- * span under the retrieve span. With neither it is inactive, so an
- * untraced blocking ask runs the retrievers with chunk formatting
- * off. Evidence bytes never depend on the sink (the streaming
- * invariant), so every form of a request answers identically.
+ * flushes at the points EventSink::flush names, and keeps the counts
+ * EngineStats.stream reports; when the request is traced each
+ * evidence section also becomes a "section:<label>" span under the
+ * retrieve span. With neither it is inactive, so an untraced blocking
+ * ask runs the retrievers with chunk formatting off. Evidence bytes
+ * never depend on the sink (the streaming invariant), so every form
+ * of a request answers identically.
  */
 class CacheMind::PipelineSink final : public retrieval::EvidenceSink
 {
@@ -208,6 +209,20 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
             throw retrieval::StreamCancelled{};
     }
 
+    /**
+     * Hand the events pushed so far to the consumer now (see
+     * EventSink::flush). Like push, its time is the consumer's.
+     */
+    void
+    flush()
+    {
+        if (!events_)
+            return;
+        Stopwatch flush_timer;
+        events_->flush();
+        blocked_ms_ += flush_timer.milliseconds();
+    }
+
     /** Record evidence sections as spans under `retrieve` from now. */
     void
     traceSections(const obs::TraceContext &retrieve)
@@ -242,7 +257,8 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
      * deadline, and — when the retriever never ran (a cache hit, a
      * coalesced wait) or emitted nothing — one section span named by
      * the outcome, so the span tree stays complete. A stream gets a
-     * cache hit's bundle as one pre-assembled "cached" chunk.
+     * cache hit's bundle as one pre-assembled "cached" chunk, which
+     * the resident bundle renders once for all its hits.
      */
     void
     finishRetrieve(const char *outcome,
@@ -253,7 +269,7 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
             const std::uint32_t span =
                 sectionSpan(std::string("section:") + outcome);
             if (hit && events_)
-                pushChunk("cached", evidence.render(), span);
+                pushChunk("cached", evidence.renderOnce(), span);
         }
         if (evidence.degraded) {
             tc_.note("degraded", "true");
@@ -294,6 +310,7 @@ class CacheMind::PipelineSink final : public retrieval::EvidenceSink
         event.label = std::move(label);
         event.text = std::move(text);
         push(std::move(event));
+        flush();
     }
 
     EventSink *events_;
@@ -317,6 +334,7 @@ CacheMind::retrieveStage(retrieval::Retriever &retriever,
     // The deadline rides the sink: the retrievers' cancellation-poll
     // sites double as degrade checks.
     const auto compute = [&] {
+        sink.flush(); // the events so far never wait on retrieval
         return std::make_shared<const retrieval::ContextBundle>(
             retriever.retrieveParsed(parsed, sink));
     };
@@ -445,6 +463,9 @@ CacheMind::runPipeline(retrieval::Retriever &retriever,
             makeEvent(StreamEvent::Kind::AnswerDelta, generate_span.id());
         event.text = delta;
         sink.push(std::move(event));
+        // A paced delta must not wait out the next delta's sleep.
+        if (opts_.tokens_per_second > 0.0)
+            sink.flush();
     };
     Response r = generateStage(parsed, evidence, retrieval_ms,
                                sink.streaming() ? &on_delta : nullptr);
@@ -465,6 +486,7 @@ CacheMind::runPipeline(retrieval::Retriever &retriever,
         StreamEvent event = makeEvent(StreamEvent::Kind::Done, root.id());
         event.response = std::make_shared<const Response>(r);
         sink.push(std::move(event));
+        sink.flush();
         sink.recordStream(*stats_);
     }
     // Serving latency only: consumer pacing (blocked pushes) is not

@@ -270,7 +270,8 @@ class CacheMind
     /**
      * Push-style ask (the serve layer's): run the pipeline on the
      * calling thread and hand `events` every event askStream would
-     * yield; the Response equals blocking ask()'s. A refused push, or
+     * yield, and call events.flush() at the flush points EventSink
+     * names; the Response equals blocking ask()'s. A refused push, or
      * events.cancelled() between evidence sections, unwinds the run
      * with retrieval::StreamCancelled, rethrown once counted in
      * stats().stream.cancelled. Like ask(), it never calls warmup();

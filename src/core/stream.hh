@@ -85,6 +85,15 @@ const char *streamEventKindName(StreamEvent::Kind kind);
  * push() returning false means the consumer is gone, and the engine
  * unwinds the run with retrieval::StreamCancelled; cancelled() is
  * polled between evidence sections, so a silent run stops too.
+ *
+ * flush() says the events pushed so far should reach the consumer
+ * now. The engine calls it before the retriever computes (a cache
+ * miss or a bypass), after every evidence chunk, after every answer
+ * delta when generation is paced, and after Done, so a sink that
+ * batches its pushes never holds an event across computed work or a
+ * paced sleep. A sink that finds the consumer gone while flushing
+ * refuses the next push and reports cancelled(). A sink that delivers
+ * at push keeps the no-op.
  */
 class EventSink
 {
@@ -92,6 +101,7 @@ class EventSink
     virtual ~EventSink() = default;
     virtual bool push(StreamEvent event) = 0;
     virtual bool cancelled() const = 0;
+    virtual void flush() {}
 };
 
 /**

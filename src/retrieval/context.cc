@@ -130,6 +130,23 @@ ContextBundle::render() const
     return os.str();
 }
 
+const std::string &
+ContextBundle::renderOnce() const
+{
+    std::shared_ptr<const std::string> text =
+        std::atomic_load(&rendered_.text);
+    if (!text) {
+        auto fresh = std::make_shared<const std::string>(render());
+        // First store wins, and the kept text never changes after it,
+        // so the reference returned here stays valid. A racing hit
+        // rendered the same bytes; its copy is dropped.
+        if (std::atomic_compare_exchange_strong(&rendered_.text, &text,
+                                                fresh))
+            text = std::move(fresh);
+    }
+    return *text;
+}
+
 ContextQuality
 assessQuality(const ContextBundle &bundle)
 {

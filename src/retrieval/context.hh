@@ -12,6 +12,7 @@
 #ifndef CACHEMIND_RETRIEVAL_CONTEXT_HH
 #define CACHEMIND_RETRIEVAL_CONTEXT_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -110,6 +111,32 @@ struct ContextBundle
 
     /** Render the bundle as prompt text (Figure 2-style). */
     std::string render() const;
+
+    /**
+     * render(), computed by the first call and kept: for a bundle that
+     * no longer changes, such as a resident cache entry, whose every
+     * streamed hit sends this text. Safe to call from several threads
+     * at once. A copy or assignment starts without the kept text, so a
+     * copy that is then changed renders its own.
+     */
+    const std::string &renderOnce() const;
+
+  private:
+    /** renderOnce()'s text; copying or assigning a bundle drops it. */
+    struct KeptText
+    {
+        KeptText() = default;
+        KeptText(const KeptText &) noexcept {}
+        KeptText &
+        operator=(const KeptText &) noexcept
+        {
+            text.reset();
+            return *this;
+        }
+
+        std::shared_ptr<const std::string> text;
+    };
+    mutable KeptText rendered_;
 };
 
 /**

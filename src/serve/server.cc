@@ -34,20 +34,23 @@ namespace cachemind::serve {
 
 namespace {
 
-/** Write the frame plus the protocol newline; false = dead client. */
+/**
+ * Write `bytes`, one or more newline-terminated frames, with one send
+ * loop and count the write in `writes`; false = dead client.
+ */
 bool
-sendFrame(int fd, const std::string &frame)
+sendAll(int fd, const std::string &bytes,
+        std::atomic<std::uint64_t> &writes)
 {
     // Chaos site: "drop" simulates the client dying mid-write, the
     // exact path a real torn connection exercises.
     if (fail::maybeDrop("serve.write"))
         return false;
-    std::string wire = frame;
-    wire += '\n';
+    writes.fetch_add(1, std::memory_order_relaxed);
     std::size_t sent = 0;
-    while (sent < wire.size()) {
-        const auto n = ::send(fd, wire.data() + sent,
-                              wire.size() - sent, MSG_NOSIGNAL);
+    while (sent < bytes.size()) {
+        const auto n = ::send(fd, bytes.data() + sent,
+                              bytes.size() - sent, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
             continue; // interrupted by a signal: not a dead client
         if (n <= 0)
@@ -93,46 +96,60 @@ recvLine(int fd, std::string &buffer, std::size_t max_bytes,
 }
 
 /**
- * The event sink of one served ask: the pipeline runs on the session
- * thread and each event goes out as a frame when it is pushed, so the
- * socket is the only backpressure — a slow reader blocks its own
- * session and nothing else. A push is refused once the client is dead
- * or the hard cut (deadline + slack) has passed; retrievers also poll
- * cancelled() between evidence sections.
+ * The event sink of one served ask. The pipeline runs on the session
+ * thread; push() appends each event's frame to the ask's buffer and
+ * flush() writes the buffer with one send loop at the engine's flush
+ * points (before retrieval computes, after each evidence chunk and
+ * each paced delta, after Done), so a hot hit goes out in two writes
+ * and no frame waits across computed work or a paced sleep. The
+ * socket is the only backpressure: a slow reader blocks its own
+ * session and nothing else. Once a write has failed (the client is
+ * gone) or the hard cut (deadline + slack) has passed, a push is
+ * refused; retrievers also poll cancelled() between evidence
+ * sections.
  */
 struct FrameSink final : core::EventSink
 {
     FrameSink(int fd, const Request &req, const Deadline &hard_cut,
-              const obs::TraceContext &tc, const Stopwatch &timer)
-        : fd(fd), req(req), hard_cut(hard_cut), tc(tc), timer(timer)
+              const obs::TraceContext &tc, const Stopwatch &timer,
+              std::atomic<std::uint64_t> &writes)
+        : fd(fd), req(req), hard_cut(hard_cut), tc(tc), timer(timer),
+          writes(writes)
     {
     }
 
     bool
     push(core::StreamEvent event) override
     {
-        if (hard_cut.expired())
+        if (cancelled())
             return false;
-        {
-            obs::SpanScope write(tc, "write");
-            dead = !sendFrame(fd, eventFrame(req.id, event, req.request_id));
+        if (!last_kind && tc.trace) {
+            // TTFE attribution: the stage whose span the first event,
+            // the first frame written, was emitted under.
+            std::string stage = tc.trace->spanName(event.span);
+            if (stage.empty())
+                stage = core::streamEventKindName(event.kind);
+            tc.trace->annotate(tc.parent, "ttfe_stage", stage);
         }
-        if (dead)
-            return false;
-        if (ttfe_ms < 0.0) {
-            ttfe_ms = timer.milliseconds();
-            if (tc.trace) {
-                // TTFE attribution: the stage whose span the first
-                // event was emitted under.
-                std::string stage = tc.trace->spanName(event.span);
-                if (stage.empty())
-                    stage = core::streamEventKindName(event.kind);
-                tc.trace->annotate(tc.parent, "ttfe_stage", stage);
-            }
-        }
+        buffer += eventFrame(req.id, event, req.request_id);
+        buffer += '\n';
         last_kind = event.kind;
         degraded = event.response && event.response->bundle.degraded;
         return true;
+    }
+
+    void
+    flush() override
+    {
+        if (buffer.empty())
+            return;
+        {
+            obs::SpanScope write(tc, "write");
+            dead = !sendAll(fd, buffer, writes);
+        }
+        buffer.clear();
+        if (!dead && ttfe_ms < 0.0)
+            ttfe_ms = timer.milliseconds();
     }
 
     bool cancelled() const override { return dead || hard_cut.expired(); }
@@ -142,10 +159,14 @@ struct FrameSink final : core::EventSink
     const Deadline hard_cut;
     const obs::TraceContext tc;
     const Stopwatch &timer;
-    /** A frame write failed: the client is gone. */
+    std::atomic<std::uint64_t> &writes;
+    /** Frames pushed since the last flush, newline-terminated. */
+    std::string buffer;
+    /** A write failed: the client is gone. */
     bool dead = false;
     /** Set from the Done event, the last one pushed. */
     bool degraded = false;
+    /** Stamped when the first write returns. */
     double ttfe_ms = -1.0;
     /** Which stage the request was last seen in. */
     std::optional<core::StreamEvent::Kind> last_kind;
@@ -221,6 +242,8 @@ struct Server::Impl
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t lease_timeouts = 0;
     std::map<std::string, RetrieverServeStats> by_retriever;
+    /** Socket writes (ServeStats::writes); counted by sendAll. */
+    std::atomic<std::uint64_t> writes{0};
 
     Impl(const db::TraceDatabase &database, ServeOptions options)
         : db(database), opts(std::move(options)),
@@ -239,6 +262,14 @@ struct Server::Impl
     void acceptLoop();
     void runSession(SessionSlot *slot);
     bool handleAsk(int fd, const Request &req);
+
+    /** Write one frame plus the protocol newline; false = dead client. */
+    bool
+    reply(int fd, std::string frame)
+    {
+        frame += '\n';
+        return sendAll(fd, frame, writes);
+    }
 
     core::CacheMind *acquireEngine(const Request &req,
                                    std::string &key_out,
@@ -344,8 +375,10 @@ Server::Impl::acceptLoop()
             }
         }
         if (!admitted) {
-            sendFrame(fd, helloFrame());
-            sendFrame(fd, overloadedFrame("", opts.max_sessions));
+            sendAll(fd,
+                    helloFrame() + '\n' +
+                        overloadedFrame("", opts.max_sessions) + '\n',
+                    writes);
             ::close(fd);
             std::lock_guard<std::mutex> lock(stats_mu);
             ++rejected;
@@ -382,7 +415,7 @@ Server::Impl::runSession(SessionSlot *slot)
 {
     const int fd = slot->fd.load();
     std::string buffer;
-    if (sendFrame(fd, helloFrame())) {
+    if (reply(fd, helloFrame())) {
         while (!stopping.load()) {
             bool overflow = false;
             const auto line = recvLine(fd, buffer,
@@ -394,13 +427,11 @@ Server::Impl::runSession(SessionSlot *slot)
                         std::lock_guard<std::mutex> lock(stats_mu);
                         ++malformed;
                     }
-                    sendFrame(fd,
-                              errorFrame(
-                                  "", "bad-request",
-                                  "request line exceeds " +
-                                      std::to_string(
-                                          opts.max_request_bytes) +
-                                      " bytes"));
+                    reply(fd, errorFrame("", "bad-request",
+                                         "request line exceeds " +
+                                             std::to_string(
+                                                 opts.max_request_bytes) +
+                                             " bytes"));
                 }
                 break; // client closed (or oversized line)
             }
@@ -413,17 +444,17 @@ Server::Impl::runSession(SessionSlot *slot)
                     std::lock_guard<std::mutex> lock(stats_mu);
                     ++malformed;
                 }
-                if (!sendFrame(fd, errorFrame("", "bad-request", why)))
+                if (!reply(fd, errorFrame("", "bad-request", why)))
                     break;
                 continue;
             }
             if (req->op == Request::Op::Ping) {
-                if (!sendFrame(fd, pongFrame(req->id)))
+                if (!reply(fd, pongFrame(req->id)))
                     break;
                 continue;
             }
             if (req->op == Request::Op::Stats) {
-                if (!sendFrame(fd, statsFrame(req->id, snapshot())))
+                if (!reply(fd, statsFrame(req->id, snapshot())))
                     break;
                 continue;
             }
@@ -452,14 +483,13 @@ Server::Impl::runSession(SessionSlot *slot)
                         ++found;
                     }
                 }
-                if (!sendFrame(fd, traceFrame(req->id, found, text)))
+                if (!reply(fd, traceFrame(req->id, found, text)))
                     break;
                 continue;
             }
             if (req->op == Request::Op::Failpoints) {
                 if (!opts.debug_failpoints) {
-                    if (!sendFrame(fd,
-                                   errorFrame(req->id, "forbidden",
+                    if (!reply(fd, errorFrame(req->id, "forbidden",
                                               "failpoints are disabled "
                                               "on this server")))
                         break;
@@ -467,14 +497,13 @@ Server::Impl::runSession(SessionSlot *slot)
                 }
                 std::string spec_error;
                 if (!fail::armSpec(req->failpoint_spec, &spec_error)) {
-                    if (!sendFrame(fd, errorFrame(req->id,
-                                                  "bad-request",
-                                                  spec_error)))
+                    if (!reply(fd, errorFrame(req->id, "bad-request",
+                                              spec_error)))
                         break;
                     continue;
                 }
-                if (!sendFrame(fd, failpointsFrame(req->id,
-                                                   fail::armedCount())))
+                if (!reply(fd, failpointsFrame(req->id,
+                                               fail::armedCount())))
                     break;
                 continue;
             }
@@ -667,19 +696,16 @@ Server::Impl::handleAsk(int fd, const Request &req)
         if (lease_timed_out) {
             finish("overloaded");
             const bool alive =
-                sendFrame(fd,
-                          overloadedFrame(
-                              req.id,
-                              std::max<std::size_t>(
-                                  opts.max_engines_per_key, 1),
-                              req.request_id));
+                reply(fd, overloadedFrame(req.id,
+                                          std::max<std::size_t>(
+                                              opts.max_engines_per_key, 1),
+                                          req.request_id));
             std::lock_guard<std::mutex> lock(stats_mu);
             ++lease_timeouts;
             return alive;
         }
         finish("error");
-        return sendFrame(fd,
-                         errorFrame(req.id, code, why, req.request_id));
+        return reply(fd, errorFrame(req.id, code, why, req.request_id));
     }
     const std::string retriever_name = engine->retriever().name();
     if (trace)
@@ -702,7 +728,7 @@ Server::Impl::handleAsk(int fd, const Request &req)
     ctx.trace = trace;
     ctx.trace_parent = root;
     FrameSink sink(fd, req, hard_cut, obs::TraceContext{trace, root},
-                   timer);
+                   timer, writes);
     // Any pipeline failure becomes a typed error frame, never a torn
     // connection.
     bool cut = false;
@@ -724,18 +750,22 @@ Server::Impl::handleAsk(int fd, const Request &req)
     }
     releaseEngine(key, engine);
 
-    if (!failure_code.empty()) {
-        finish("error");
-        return sendFrame(fd, errorFrame(req.id, failure_code, failure,
-                                        req.request_id));
-    }
-    if (cut && sink.dead) {
-        // Dead client mid-stream: the refused push already reclaimed
-        // the in-flight retrieval; close the connection.
+    // What the pipeline pushed before it stopped goes out ahead of any
+    // terminal frame.
+    sink.flush();
+    if (sink.dead) {
+        // Dead client: a failed write refused the pipeline's next push
+        // or poll, reclaiming the in-flight retrieval, or was the
+        // ask's last write. Close the connection.
         finish("cancelled");
         std::lock_guard<std::mutex> lock(stats_mu);
         ++cancelled;
         return false;
+    }
+    if (!failure_code.empty()) {
+        finish("error");
+        return reply(fd, errorFrame(req.id, failure_code, failure,
+                                    req.request_id));
     }
     if (cut) {
         // The pipeline blew through deadline + slack without reaching
@@ -759,8 +789,8 @@ Server::Impl::handleAsk(int fd, const Request &req)
         }
         finish("deadline_exceeded");
         const bool alive =
-            sendFrame(fd, deadlineExceededFrame(req.id, deadline_ms,
-                                                req.request_id));
+            reply(fd, deadlineExceededFrame(req.id, deadline_ms,
+                                            req.request_id));
         std::lock_guard<std::mutex> lock(stats_mu);
         ++deadline_exceeded;
         return alive;
@@ -786,6 +816,7 @@ Server::Impl::snapshot() const
         s.lease_timeouts = lease_timeouts;
         s.by_retriever = by_retriever;
     }
+    s.writes = writes.load(std::memory_order_relaxed);
     std::vector<core::CacheMind *> engines;
     {
         std::lock_guard<std::mutex> lock(pool_mu);
@@ -935,6 +966,7 @@ statsFrame(const std::string &id, const ServeStats &stats)
     frame += countField("deadline_exceeded", stats.deadline_exceeded);
     frame += countField("lease_timeouts", stats.lease_timeouts);
     frame += countField("faults_injected", stats.faults_injected);
+    frame += countField("writes", stats.writes);
     frame += countField("degraded_answers",
                         stats.engine.degraded_answers);
     frame += countField("questions", stats.engine.questions);

@@ -20,14 +20,18 @@
  * asking about the same trace slice assemble its evidence once.
  *
  * Each ask runs the engine pipeline on its session thread
- * (CacheMind::ask with an event sink), writing each event as a frame
- * when it is produced. Backpressure is the socket: a slow client
- * blocks its own session's write and nothing else. Nothing in that
- * path holds a lock or a cache in-flight claim (a run with a sink
- * uses the cache's non-blocking peek/publish protocol), so one paused
- * client cannot stall other sessions or blocking ask() callers
- * coalescing on a hot cache key. A dead client (failed write) refuses
- * the next event, which unwinds the pipeline and its retrieval.
+ * (CacheMind::ask with an event sink). The sink buffers each event's
+ * frame and writes the buffer at the engine's flush points: before
+ * retrieval computes, after each evidence chunk and each paced answer
+ * delta, and after done — so an answer from a resident bundle takes
+ * two writes. Backpressure is the socket: a slow client blocks its
+ * own session's write and nothing else. Nothing in that path holds a
+ * lock or a cache in-flight claim (a run with a sink uses the cache's
+ * non-blocking peek/publish protocol), so one paused client cannot
+ * stall other sessions or blocking ask() callers coalescing on a hot
+ * cache key. A dead client (failed write) refuses the next event and
+ * trips the cancellation poll, which unwinds the pipeline and its
+ * retrieval.
  */
 
 #ifndef CACHEMIND_SERVE_SERVER_HH
@@ -161,6 +165,13 @@ struct ServeStats
     std::uint64_t lease_timeouts = 0;
     /** Faults injected process-wide by armed failpoints (snapshot). */
     std::uint64_t faults_injected = 0;
+    /**
+     * Socket writes: one per flushed batch of an ask's frames (two
+     * for an answer from a resident bundle) and one per single-frame
+     * reply (hello, pong, stats, error, ...), however many send()
+     * calls each takes.
+     */
+    std::uint64_t writes = 0;
     /** Per-retriever TTFE/TTLB histograms. */
     std::map<std::string, RetrieverServeStats> by_retriever;
     /**

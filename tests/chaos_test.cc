@@ -4,8 +4,8 @@
  * graceful degradation through the engine, the hardened failure paths
  * (corrupt secondary-tier entries, failed index builds), and the
  * serve pipeline under injected chaos — typed terminal frames, no
- * crashes, no hangs, and fault-free answers byte-identical to a clean
- * run.
+ * crashes, no hangs, fault-free answers byte-identical to a clean
+ * run, and the write failpoint firing once per batched socket write.
  *
  * Failpoints are process-global, so every test arms through a guard
  * that disarms everything on entry and exit — a failing test cannot
@@ -692,6 +692,53 @@ TEST(ChaosTest, ServeReportsPipelineFaultsAsErrorFrames)
     const auto clean = askOver(client, "c", suiteQuestions()[0]);
     EXPECT_EQ(clean.terminal, "done");
     EXPECT_FALSE(clean.answer.empty());
+    server.stop();
+}
+
+TEST(ChaosTest, ServeWriteFiresOncePerWriteAndADroppedWriteCancels)
+{
+    // serve.write guards each socket write, not each frame: an answer
+    // from a resident bundle crosses it twice. Dropping that answer's
+    // first write marks the client dead, so the first delta's push is
+    // refused, the ask is cancelled, and the connection closes with
+    // none of the answer's frames sent.
+    FailpointGuard guard;
+    Server server(sharedDb(), ServeOptions{});
+    ASSERT_TRUE(server.start());
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(expectHello(client));
+    const auto question = suiteQuestions()[0];
+    ASSERT_EQ(askOver(client, "warm", question).terminal, "done");
+
+    const auto fired = [] {
+        const auto sites = fail::injectedBySite();
+        const auto it = sites.find("serve.write");
+        return it == sites.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t before = fired();
+    ASSERT_TRUE(fail::armSpec("serve.write=delay:0"));
+    const auto hot = askOver(client, "hot", question);
+    fail::disarmAll();
+    EXPECT_EQ(hot.terminal, "done");
+    EXPECT_GE(hot.kinds.size(), 5u);
+    EXPECT_EQ(fired() - before, 2u);
+
+    // The session answers STATS only once the hot ask has finished,
+    // so the snapshot after it counts that ask as completed.
+    ASSERT_TRUE(statsOver(client).has_value());
+    const ServeStats clean = server.stats();
+    ASSERT_TRUE(fail::armSpec("serve.write=drop#1"));
+    const auto dropped = askOver(client, "dropped", question);
+    EXPECT_TRUE(dropped.kinds.empty());
+    EXPECT_TRUE(dropped.terminal.empty());
+    // The session counted the cancellation before it closed the
+    // connection the client saw close.
+    const ServeStats after = server.stats();
+    EXPECT_EQ(after.cancelled, clean.cancelled + 1);
+    EXPECT_EQ(after.engine.stream.cancelled,
+              clean.engine.stream.cancelled + 1);
+    EXPECT_EQ(after.completed, clean.completed);
     server.stop();
 }
 

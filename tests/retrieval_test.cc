@@ -225,8 +225,9 @@ TEST(RangerTest, LowFidelityCorruptsPrograms)
         "What is the average evicted reuse distance of PC 0x4037aa "
         "for the mcf workload with LRU?");
     ASSERT_TRUE(good.computed.has_value());
-    if (bundle.computed.has_value())
+    if (bundle.computed.has_value()) {
         EXPECT_NE(*bundle.computed, *good.computed);
+    }
 }
 
 TEST(RangerTest, ExplainBundleIsNarrow)
@@ -917,16 +918,18 @@ TEST(BundleCodecTest, RoundTripIsByteExactOverRandomBundles)
         }
         EXPECT_EQ(decoded->pc_stats.has_value(),
                   original.pc_stats.has_value());
-        if (original.pc_stats)
+        if (original.pc_stats) {
             EXPECT_TRUE(
                 sameBits(decoded->pc_stats->mean_reuse_distance,
                          original.pc_stats->mean_reuse_distance));
+        }
         EXPECT_EQ(decoded->values, original.values);
         EXPECT_EQ(decoded->computed.has_value(),
                   original.computed.has_value());
-        if (original.computed)
+        if (original.computed) {
             EXPECT_TRUE(sameBits(*decoded->computed,
                                  *original.computed));
+        }
         EXPECT_TRUE(
             sameBits(decoded->retrieval_ms, original.retrieval_ms));
         EXPECT_EQ(decoded->render(), original.render());

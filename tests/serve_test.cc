@@ -6,14 +6,18 @@
  * all three retrievers with the shared retrieval cache on, admission
  * control rejecting past capacity with a typed overloaded frame, a
  * deliberately slow consumer exercising channel backpressure without
- * stalling other sessions, and a mid-stream disconnect cancelling the
- * in-flight retrieval (TSan-covered). Also pins the engine-level
+ * stalling other sessions, a mid-stream disconnect cancelling the
+ * in-flight retrieval (TSan-covered), an answer's frames written in
+ * batches at the engine's flush points (counted by STATS `writes`),
+ * and the wire lines equal to the frames of the events an engine
+ * pushes for the same question. Also pins the engine-level
  * serving satellites: the persistent askStream worker pool and the
  * cooperative cancellation token.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -34,6 +38,7 @@
 #include "core/worker_pool.hh"
 #include "db/builder.hh"
 #include "obs/trace.hh"
+#include "retrieval/cache.hh"
 #include "retrieval/context.hh"
 #include "retrieval/registry.hh"
 #include "serve/client.hh"
@@ -629,10 +634,169 @@ TEST(ServerTest, StatsFrameKeepsEveryKey)
         "trace_retrieve_p50_ms", "trace_retrieve_p90_ms",
         "trace_generate_p50_ms", "trace_generate_p90_ms", "sieve.asks",
         "sieve.ttfe_p50_ms", "sieve.ttfe_p90_ms", "sieve.ttlb_p50_ms",
-        "sieve.ttlb_p90_ms"};
+        "sieve.ttlb_p90_ms", "writes"};
     EXPECT_EQ(keys, expected);
     EXPECT_EQ(frame->at("sieve.asks"), "1");
     server.stop();
+}
+
+namespace {
+
+/** The server's socket-write count, read through the STATS verb. */
+std::uint64_t
+writesOver(LineClient &client)
+{
+    if (!client.sendLine("{\"op\":\"stats\",\"id\":\"w\"}"))
+        return 0;
+    const auto line = client.recvLine();
+    const auto frame = line ? parseJsonObject(*line) : std::nullopt;
+    if (!frame.has_value() || !frame->count("writes"))
+        return 0;
+    return str::parseU64(frame->at("writes")).value_or(0);
+}
+
+std::size_t
+framesOfKind(const AskResult &result, const std::string &kind)
+{
+    return static_cast<std::size_t>(
+        std::count(result.kinds.begin(), result.kinds.end(), kind));
+}
+
+} // namespace
+
+TEST(ServerTest, AnAnswerIsWrittenInBatchesAtTheFlushPoints)
+{
+    // Each STATS reply is one write of its own and is counted by the
+    // next snapshot, so the writes an ask made are the difference
+    // between the STATS replies around it, less one.
+    const auto questions = suiteQuestions();
+    {
+        // An answer from a resident bundle is two writes, [parsed,
+        // planned, cached] and [deltas..., done], however many frames
+        // it carries.
+        Server server(sharedDb(), ServeOptions{});
+        ASSERT_TRUE(server.start());
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        ASSERT_TRUE(expectHello(client));
+        for (const auto &question : questions) {
+            SCOPED_TRACE(question);
+            ASSERT_TRUE(askOver(client, "warm", question, "sieve").done);
+            const std::uint64_t before = writesOver(client);
+            const auto hot = askOver(client, "hot", question, "sieve");
+            const std::uint64_t after = writesOver(client);
+            ASSERT_TRUE(hot.done);
+            EXPECT_GE(hot.kinds.size(), 5u);
+            EXPECT_EQ(framesOfKind(hot, "evidence"), 1u);
+            EXPECT_EQ(after - before - 1, 2u);
+        }
+        server.stop();
+    }
+    {
+        // Paced generation: every delta goes out before the next
+        // delta's pacing sleep. A cold answer writes [parsed, planned]
+        // before retrieval computes, then each evidence chunk, each
+        // delta and done on their own.
+        ServeOptions opts;
+        opts.tokens_per_second = 20000.0;
+        Server server(sharedDb(), opts);
+        ASSERT_TRUE(server.start());
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        ASSERT_TRUE(expectHello(client));
+        const std::uint64_t before = writesOver(client);
+        const auto cold = askOver(client, "cold", questions[3], "sieve");
+        const std::uint64_t after = writesOver(client);
+        ASSERT_TRUE(cold.done);
+        const std::size_t deltas = framesOfKind(cold, "delta");
+        EXPECT_GE(deltas, 2u);
+        EXPECT_EQ(after - before - 1,
+                  2 + framesOfKind(cold, "evidence") + deltas);
+        server.stop();
+    }
+}
+
+namespace {
+
+/** An EventSink that keeps every event it is handed. */
+class KeepingSink final : public EventSink
+{
+  public:
+    bool
+    push(StreamEvent event) override
+    {
+        events.push_back(std::move(event));
+        return true;
+    }
+
+    bool cancelled() const override { return false; }
+
+    std::vector<StreamEvent> events;
+};
+
+} // namespace
+
+TEST(ServerTest, WireLinesAreTheFramesOfThePushedEvents)
+{
+    // Batching changes how many writes carry an answer, never what
+    // they carry: the lines a client reads are eventFrame() of each
+    // event an engine of the same configuration, in the same cache
+    // state, pushes for the question — cold and hot, with and without
+    // a request id.
+    const auto questions = suiteQuestions();
+    for (const std::string retriever : {"sieve", "ranger"}) {
+        const ServeOptions opts;
+        Server server(sharedDb(), opts);
+        ASSERT_TRUE(server.start());
+        auto reference =
+            CacheMind::Builder(sharedDb())
+                .withRetriever(retriever)
+                .withSharedRetrievalCache(
+                    std::make_shared<retrieval::RetrievalCache>(
+                        retrieval::RetrievalCache::Options{
+                            opts.retrieval_cache_capacity,
+                            opts.retrieval_cache_secondary_bytes}))
+                .build()
+                .expect("reference");
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+        ASSERT_TRUE(expectHello(client));
+        for (std::size_t q = 0; q < questions.size(); ++q) {
+            for (const std::string round : {"cold", "hot"}) {
+                const std::string id = std::to_string(q) + round;
+                const std::string request_id =
+                    q % 2 == 0 ? "req-" + id : std::string();
+                SCOPED_TRACE(retriever + " " + id);
+                KeepingSink sink;
+                reference.ask(RequestContext(questions[q]), sink)
+                    .expect("reference ask");
+                std::vector<std::string> want;
+                for (const auto &event : sink.events)
+                    want.push_back(eventFrame(id, event, request_id));
+
+                Request req;
+                req.op = Request::Op::Ask;
+                req.id = id;
+                req.question = questions[q];
+                req.retriever = retriever;
+                req.request_id = request_id;
+                ASSERT_TRUE(client.sendLine(renderRequest(req)));
+                std::vector<std::string> got;
+                while (auto line = client.recvLine()) {
+                    got.push_back(*line);
+                    const auto frame = parseJsonObject(*line);
+                    ASSERT_TRUE(frame.has_value()) << *line;
+                    if (frame->at("frame") != "parsed" &&
+                        frame->at("frame") != "planned" &&
+                        frame->at("frame") != "evidence" &&
+                        frame->at("frame") != "delta")
+                        break; // done, or a frame the test rejects
+                }
+                EXPECT_EQ(got, want);
+            }
+        }
+        server.stop();
+    }
 }
 
 TEST(ServerTest, ConcurrentClientsMatchBlockingAskAllRetrievers)

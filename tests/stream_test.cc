@@ -9,8 +9,11 @@
  * paused stream never blocking a blocking ask() on the same cache
  * key, the streaming statistics counters, and the push-style
  * ask(ctx, sink) — the same events as askStream, a consumer that goes
- * away unwinding the run as cancelled, and a paused sink never
- * blocking a blocking ask() on the same key.
+ * away unwinding the run as cancelled, a paused sink never blocking a
+ * blocking ask() on the same key, and the flush points a batching
+ * sink is given. Also pins the cached evidence chunk: a resident
+ * bundle's render, kept once and shared by concurrent hits, which a
+ * copied or assigned bundle never carries.
  */
 
 #include <gtest/gtest.h>
@@ -592,10 +595,12 @@ TEST(AskStreamTest, PausedStreamNeverBlocksABlockingAskOnTheSameKey)
 namespace {
 
 /**
- * An EventSink that records what it accepts. It refuses the push
- * numbered `refuse_at` (1-based; 0 = never), and with
- * `cancel_after_overview` reports itself cancelled once the overview
- * evidence chunk has arrived.
+ * An EventSink that records what it accepts, and logs it with its
+ * flushes: one word per push ("parsed", "planned",
+ * "evidence:<label>", "delta", "done") and "FLUSH" per flush(), each
+ * followed by a space. It refuses the push numbered `refuse_at`
+ * (1-based; 0 = never), and with `cancel_after_overview` reports
+ * itself cancelled once the overview evidence chunk has arrived.
  */
 class RecordingSink final : public EventSink
 {
@@ -614,9 +619,15 @@ class RecordingSink final : public EventSink
             return false;
         saw_overview_ |= event.kind == StreamEvent::Kind::EvidenceChunk &&
                          event.label == "overview";
+        log += streamEventKindName(event.kind);
+        if (event.kind == StreamEvent::Kind::EvidenceChunk)
+            log += ":" + event.label;
+        log += ' ';
         events.push_back(std::move(event));
         return true;
     }
+
+    void flush() override { log += "FLUSH "; }
 
     bool
     cancelled() const override
@@ -624,7 +635,20 @@ class RecordingSink final : public EventSink
         return cancel_after_overview_ && saw_overview_;
     }
 
+    /** The text of the "cached" evidence chunk ("" when none). */
+    std::string
+    cachedText() const
+    {
+        for (const auto &e : events) {
+            if (e.kind == StreamEvent::Kind::EvidenceChunk &&
+                e.label == "cached")
+                return e.text;
+        }
+        return std::string();
+    }
+
     std::vector<StreamEvent> events;
+    std::string log;
 
   private:
     const std::size_t refuse_at_;
@@ -798,4 +822,188 @@ TEST(AskStreamTest, PausedPushSinkNeverBlocksABlockingAskOnTheSameKey)
     const Response pushed = paused.get().expect("push ask");
     EXPECT_TRUE(answered) << "blocking ask() waited on a paused sink";
     EXPECT_EQ(pending.get().expect("blocking ask").text, pushed.text);
+}
+
+// ------------------------------------------------------ flush contract
+
+namespace {
+
+/**
+ * The log a run must leave: its events in pipeline order, with a FLUSH
+ * before the retriever computes (a miss), after every evidence chunk,
+ * after every delta when paced, and after done.
+ */
+std::string
+flushContract(const RecordingSink &run, bool computed, bool paced)
+{
+    std::string log = "parsed planned ";
+    if (computed)
+        log += "FLUSH ";
+    for (const auto &e : run.events) {
+        if (e.kind == StreamEvent::Kind::EvidenceChunk)
+            log += "evidence:" + e.label + " FLUSH ";
+    }
+    for (const auto &e : run.events) {
+        if (e.kind == StreamEvent::Kind::AnswerDelta)
+            log += paced ? "delta FLUSH " : "delta ";
+    }
+    return log + "done FLUSH ";
+}
+
+} // namespace
+
+TEST(AskStreamTest, FlushesBeforeRetrievalAfterEachChunkAndAfterDone)
+{
+    // ask(ctx, sink) tells a batching sink (the server's) to deliver
+    // before the retriever computes, after every evidence chunk, after
+    // every delta when generation is paced, and after Done. No event
+    // then waits across computed work or a paced sleep, and an answer
+    // from a resident bundle is two batches: parsed, planned, cached,
+    // FLUSH, deltas, done, FLUSH.
+    std::size_t hits = 0;
+    for (const std::string retriever : {"sieve", "ranger"}) {
+        for (const double pace : {0.0, 1e6}) {
+            for (const auto &question : suiteQuestions()) {
+                SCOPED_TRACE(retriever + " pace=" + std::to_string(pace) +
+                             " " + question);
+                // A cache of its own per question: the first ask
+                // computes, the second is a hit.
+                auto engine = CacheMind::Builder(sharedDb())
+                                  .withRetriever(retriever)
+                                  .withRetrievalCacheCapacity(1024)
+                                  .withTokensPerSecond(pace)
+                                  .build()
+                                  .expect("engine");
+                RecordingSink first, second;
+                engine.ask(RequestContext(question), first).expect("cold");
+                engine.ask(RequestContext(question), second).expect("hot");
+                const bool paced = pace > 0.0;
+                const bool cacheable = !first.events.at(1).cache_key.empty();
+                EXPECT_TRUE(first.cachedText().empty());
+                EXPECT_EQ(first.log, flushContract(first, true, paced));
+                EXPECT_EQ(second.log,
+                          flushContract(second, !cacheable, paced));
+                if (cacheable) {
+                    ++hits;
+                    EXPECT_EQ(second.log.find("parsed planned "
+                                              "evidence:cached FLUSH "),
+                              0u);
+                }
+            }
+        }
+    }
+    EXPECT_GT(hits, 0u);
+}
+
+TEST(AskStreamTest, CachedChunkIsTheResidentBundleRenderedOnce)
+{
+    // A streamed hit sends its resident bundle's text, rendered by the
+    // first hit and kept for the rest: render() of the blocking
+    // answer's bundle, and the same kept string on every later hit.
+    const auto questions = suiteQuestions();
+    std::size_t hits = 0;
+    for (const std::string retriever : {"sieve", "ranger"}) {
+        auto cache = std::make_shared<retrieval::RetrievalCache>(
+            retrieval::RetrievalCache::Options{1024});
+        auto engine = CacheMind::Builder(sharedDb())
+                          .withRetriever(retriever)
+                          .withSharedRetrievalCache(cache)
+                          .build()
+                          .expect("engine");
+        auto blocking = engineWith(retriever, 0);
+        for (const auto &question : questions) {
+            SCOPED_TRACE(retriever + " " + question);
+            RecordingSink first, hit, again;
+            engine.ask(RequestContext(question), first).expect("first");
+            const std::string key = first.events.at(1).cache_key;
+            if (key.empty())
+                continue; // not cacheable: never a hit
+            engine.ask(RequestContext(question), hit).expect("hit");
+            engine.ask(RequestContext(question), again).expect("again");
+            const Response want = blocking.ask(question).expect("blocking");
+            EXPECT_EQ(hit.cachedText(), want.bundle.render());
+            EXPECT_EQ(again.cachedText(), hit.cachedText());
+            const auto resident = cache->peek(key);
+            ASSERT_NE(resident, nullptr);
+            EXPECT_EQ(&resident->renderOnce(), &resident->renderOnce());
+            EXPECT_EQ(resident->renderOnce(), hit.cachedText());
+            ++hits;
+        }
+    }
+    EXPECT_GT(hits, 0u);
+}
+
+TEST(AskStreamTest, ConcurrentHitsOnOneKeyStreamOneText)
+{
+    // Four threads, an engine each on one shared cache, stream hits on
+    // a key whose resident bundle no stream has rendered yet (a
+    // blocking ask published it): every hit carries the same text.
+    auto cache = std::make_shared<retrieval::RetrievalCache>(
+        retrieval::RetrievalCache::Options{1024});
+    const auto build = [&] {
+        return CacheMind::Builder(sharedDb())
+            .withSharedRetrievalCache(cache)
+            .build()
+            .expect("engine");
+    };
+    const std::string question = suiteQuestions()[0];
+    auto warm = build();
+    const std::string want =
+        warm.ask(question).expect("warm").bundle.render();
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kHits = 8;
+    std::vector<CacheMind> engines;
+    engines.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t)
+        engines.push_back(build());
+    std::vector<std::vector<std::string>> chunks(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < kHits; ++i) {
+                RecordingSink sink;
+                engines[t].ask(RequestContext(question), sink).expect("hit");
+                chunks[t].push_back(sink.cachedText());
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (const auto &texts : chunks) {
+        ASSERT_EQ(texts.size(), kHits);
+        for (const auto &text : texts)
+            EXPECT_EQ(text, want);
+    }
+}
+
+TEST(AskStreamTest, ACopiedOrAssignedBundleRendersItsOwnText)
+{
+    // The kept text belongs to one bundle object: a copy, an assigned
+    // bundle or a moved-to bundle starts without it, so changing it
+    // afterwards renders the changed bundle.
+    retrieval::ContextBundle original;
+    original.retriever = "sieve";
+    original.trace_key = "astar_evictions_lru";
+    const std::string &kept = original.renderOnce();
+    EXPECT_EQ(kept, original.render());
+
+    retrieval::ContextBundle copy = original;
+    copy.trace_key = "mcf_evictions_lru";
+    EXPECT_EQ(copy.renderOnce(), copy.render());
+    EXPECT_NE(copy.renderOnce(), kept);
+
+    retrieval::ContextBundle assigned;
+    EXPECT_EQ(assigned.renderOnce(), assigned.render());
+    assigned = original;
+    assigned.retriever = "ranger";
+    EXPECT_EQ(assigned.renderOnce(), assigned.render());
+    EXPECT_NE(assigned.renderOnce(), kept);
+
+    retrieval::ContextBundle moved = std::move(copy);
+    moved.result_text = "moved";
+    EXPECT_EQ(moved.renderOnce(), moved.render());
+
+    // The original still holds the text it kept first.
+    EXPECT_EQ(&original.renderOnce(), &kept);
+    EXPECT_EQ(kept, original.render());
 }
