@@ -41,9 +41,6 @@ sameRow(const db::TraceTable &a, const db::TraceTable &b, std::size_t i)
            x.evicted_reuse_distance == y.evicted_reuse_distance &&
            x.wrong_eviction == y.wrong_eviction &&
            x.recency_text == y.recency_text &&
-           x.function_name == y.function_name &&
-           x.function_code == y.function_code &&
-           x.assembly_code == y.assembly_code &&
            x.current_cache_lines == y.current_cache_lines &&
            x.cache_line_eviction_scores ==
                y.cache_line_eviction_scores &&

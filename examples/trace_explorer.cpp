@@ -40,26 +40,33 @@ main()
         std::printf("Evict:     %s (%s)\n",
                     row.is_miss ? "Cache Miss" : "Cache Hit",
                     sim::missTypeName(row.miss_type));
-        std::printf("Evicted:   %s (needed again in %lld accesses)\n",
-                    str::hex(row.evicted_address).c_str(),
-                    static_cast<long long>(row.evicted_reuse_distance));
+        std::printf("Evicted:   %s", str::hex(row.evicted_address).c_str());
+        // A victim that is never touched again has no reuse distance.
+        if (row.evicted_reuse_distance != db::kNoValue)
+            std::printf(" (needed again in %lld accesses)",
+                        static_cast<long long>(row.evicted_reuse_distance));
+        std::printf("\n");
         std::printf("Recency:   %s\n", row.recency_text.c_str());
         std::printf("Cache lines (pc, line address):\n");
         for (const auto &line : row.current_cache_lines) {
-            std::printf("  {%s, %s}\n", str::hex(line.address).c_str(),
-                        str::hex(line.pc).c_str());
+            std::printf("  {%s, %s}\n", str::hex(line.pc).c_str(),
+                        str::hex(line.address).c_str());
         }
         std::printf("Eviction scores:");
         for (const auto score : row.cache_line_eviction_scores)
             std::printf(" %llu",
                         static_cast<unsigned long long>(score));
-        std::printf("\nAccess history:\n");
+        std::printf("\nAccess history (pc, address):\n");
         for (const auto &h : row.recent_access_history) {
-            std::printf("  {%s, %s}\n", str::hex(h.address).c_str(),
-                        str::hex(h.pc).c_str());
+            std::printf("  {%s, %s}\n", str::hex(h.pc).c_str(),
+                        str::hex(h.address).c_str());
         }
-        std::printf("Function:  %s\n", row.function_name.c_str());
-        std::printf("Assembly:\n%s", row.assembly_code.c_str());
+        // Source context is per PC: the table's symbol table renders it.
+        const auto *symbols = table.symbols();
+        std::printf("Function:  %s\n",
+                    symbols->functionName(row.program_counter).c_str());
+        std::printf("Assembly:\n%s",
+                    symbols->assemblyAround(row.program_counter).c_str());
         break;
     }
 

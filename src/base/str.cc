@@ -101,19 +101,6 @@ join(const std::vector<std::string> &parts, const std::string &sep)
     return out;
 }
 
-std::string
-replaceAll(std::string s, const std::string &from, const std::string &to)
-{
-    if (from.empty())
-        return s;
-    std::size_t pos = 0;
-    while ((pos = s.find(from, pos)) != std::string::npos) {
-        s.replace(pos, from.size(), to);
-        pos += to.size();
-    }
-    return s;
-}
-
 std::optional<std::uint64_t>
 parseHex(const std::string &s)
 {

@@ -42,10 +42,6 @@ bool containsNoCase(const std::string &haystack,
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
 
-/** Replace every occurrence of `from` with `to`. */
-std::string replaceAll(std::string s, const std::string &from,
-                       const std::string &to);
-
 /**
  * Parse a hex literal with or without the 0x prefix.
  * @return nullopt if any non-hex character is present.

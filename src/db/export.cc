@@ -59,6 +59,7 @@ csvRow(const TraceTable &table, std::size_t i,
        const ExportOptions &options)
 {
     const AccessRow row = table.row(i);
+    const trace::SymbolTable *symbols = table.symbols();
     std::ostringstream os;
     os << row.index << "," << str::hex(row.program_counter) << ","
        << str::hex(row.memory_address) << "," << row.cache_set_id
@@ -69,7 +70,8 @@ csvRow(const TraceTable &table, std::size_t i,
        << "," << row.evicted_reuse_distance << ","
        << (row.wrong_eviction ? 1 : 0) << ","
        << csvField(row.recency_text) << ","
-       << csvField(row.function_name);
+       << csvField(symbols ? symbols->functionName(row.program_counter)
+                           : "");
     if (options.include_snapshots) {
         std::ostringstream scores;
         for (std::size_t k = 0;

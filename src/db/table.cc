@@ -347,13 +347,6 @@ TraceTable::row(std::size_t i) const
     r.wrong_eviction = wrongEvictionAt(i);
     r.recency_text = recencyTextAt(i);
 
-    if (symbols_) {
-        r.function_name = symbols_->functionName(r.program_counter);
-        r.function_code = symbols_->sourceFor(r.program_counter);
-        r.assembly_code =
-            symbols_->assemblyAround(r.program_counter);
-    }
-
     for (std::uint32_t k = snap_off_[i]; k < snap_off_[i + 1]; ++k) {
         const std::uint32_t j = snap_row_[k];
         r.current_cache_lines.push_back(

@@ -7,11 +7,10 @@
  * each resident line with the (pc, stream index) of its last touch,
  * so a snapshot entry or a victim is stored as the index of that
  * earlier row, and a row's access history is the rows just before
- * it. The default 12-table database builds within ~400 MB. Row
- * materialisation (AccessRow) renders the source-level string columns
- * (function name/code, disassembly, textual recency) on demand from
- * the workload's symbol table, which keeps identical rows
- * byte-identical — required for exact-match grading in
+ * it. The default 12-table database builds within ~400 MB. Rows
+ * (AccessRow) carry no source context: a PC's function name, source
+ * and disassembly come from symbols(), which renders a PC to the
+ * same bytes every time — required for exact-match grading in
  * CacheMindBench.
  */
 
@@ -51,7 +50,7 @@ struct PcAddr
     }
 };
 
-/** Fully materialised row (all §4.3 columns). */
+/** A materialised row (per-PC source context: TraceTable::symbols()). */
 struct AccessRow
 {
     std::uint64_t index = 0;
@@ -74,9 +73,6 @@ struct AccessRow
 
     /** Textual recency descriptor (schema's accessed_address_recency). */
     std::string recency_text;
-    std::string function_name;
-    std::string function_code;
-    std::string assembly_code;
 
     std::vector<PcAddr> current_cache_lines;
     std::vector<std::uint64_t> cache_line_eviction_scores;
@@ -96,7 +92,7 @@ class TraceTable
     TraceTable(const TraceTable &) = delete;
     TraceTable &operator=(const TraceTable &) = delete;
 
-    /** Symbol table used to render string columns (non-owning). */
+    /** The workload's per-PC source context (non-owning). */
     void setSymbols(const trace::SymbolTable *symbols)
     {
         symbols_ = symbols;
@@ -235,7 +231,7 @@ class TraceTable
     /** The index if some reader already built it; nullptr otherwise. */
     const TraceIndex *indexIfBuilt() const;
 
-    /** Materialise a full row with all string columns. */
+    /** Materialise row `i`'s columns (no per-PC source context). */
     AccessRow row(std::size_t i) const;
 
   private:

@@ -9,7 +9,7 @@ namespace {
 
 constexpr char kMagic0 = 'C';
 constexpr char kMagic1 = 'B';
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 
 std::uint64_t
 zigzag(std::int64_t v)
@@ -251,9 +251,6 @@ encodeRow(Encoder &e, const db::AccessRow &r)
     e.i64(r.evicted_reuse_distance);
     e.boolean(r.wrong_eviction);
     e.str(r.recency_text);
-    e.str(r.function_name);
-    e.str(r.function_code);
-    e.str(r.assembly_code);
     e.vec(r.current_cache_lines, [&](const db::PcAddr &pa) {
         e.u64(pa.pc);
         e.u64(pa.address);
@@ -284,9 +281,6 @@ decodeRow(Decoder &d)
     r.evicted_reuse_distance = d.i64();
     r.wrong_eviction = d.boolean();
     r.recency_text = d.str();
-    r.function_name = d.str();
-    r.function_code = d.str();
-    r.assembly_code = d.str();
     r.current_cache_lines = d.vec<db::PcAddr>([&] {
         db::PcAddr pa;
         pa.pc = d.u64();
@@ -454,9 +448,7 @@ approxBundleBytes(const ContextBundle &b)
     for (const std::string &s : b.parsed.policies)
         n += stringBytes(s);
     for (const db::AccessRow &r : b.rows) {
-        n += sizeof(db::AccessRow);
-        n += r.recency_text.capacity() + r.function_name.capacity() +
-             r.function_code.capacity() + r.assembly_code.capacity();
+        n += sizeof(db::AccessRow) + r.recency_text.capacity();
         n += r.current_cache_lines.capacity() * sizeof(db::PcAddr);
         n += r.cache_line_eviction_scores.capacity() *
              sizeof(std::uint64_t);

@@ -10,12 +10,23 @@
 
 namespace cachemind::serve {
 
-std::string
-jsonEscape(const std::string &text)
+namespace {
+
+/**
+ * Append `text` to `out`, escaped for a JSON string literal: each run
+ * of bytes that needs no escape goes in with one append.
+ */
+void
+appendJsonEscaped(std::string &out, const std::string &text)
 {
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
+    static const char hex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text, run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -23,20 +34,23 @@ jsonEscape(const std::string &text)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
         }
     }
-    return out;
+    out.append(text, run, std::string::npos);
 }
 
-namespace {
+/** Append `,"name":"value"` with `value` escaped. */
+void
+appendStringField(std::string &out, const char *name,
+                  const std::string &value)
+{
+    out.append(",\"").append(name).append("\":\"");
+    appendJsonEscaped(out, value);
+    out += '"';
+}
 
 /** A finite `v` as a JSON number that parses back to exactly `v`. */
 std::string
@@ -227,6 +241,15 @@ parseMembers(Scanner &sc, const std::string &prefix, int depth,
 }
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size() + 8);
+    appendJsonEscaped(out, text);
+    return out;
+}
 
 std::optional<std::map<std::string, std::string>>
 parseJsonObject(const std::string &line)
@@ -452,29 +475,32 @@ eventFrame(const std::string &id, const core::StreamEvent &event,
            const std::string &request_id)
 {
     using Kind = core::StreamEvent::Kind;
+    static const std::string no_answer;
+    const std::string &answer =
+        event.response ? event.response->text : no_answer;
     std::string frame = "{\"frame\":\"";
-    frame += core::streamEventKindName(event.kind);
-    frame += "\"" + idField(id);
+    // Room for every payload the event carries, before escapes.
+    frame.reserve(64 + id.size() + request_id.size() +
+                  event.parsed.raw.size() + event.cache_key.size() +
+                  event.label.size() + event.text.size() + answer.size());
+    frame.append(core::streamEventKindName(event.kind)).append("\"");
+    appendStringField(frame, "id", id);
     switch (event.kind) {
       case Kind::Parsed:
-        frame += ",\"text\":\"" + jsonEscape(event.parsed.raw) + "\"";
+        appendStringField(frame, "text", event.parsed.raw);
         break;
       case Kind::Planned:
-        frame +=
-            ",\"cache_key\":\"" + jsonEscape(event.cache_key) + "\"";
+        appendStringField(frame, "cache_key", event.cache_key);
         break;
       case Kind::EvidenceChunk:
-        frame += ",\"label\":\"" + jsonEscape(event.label) +
-                 "\",\"text\":\"" + jsonEscape(event.text) + "\"";
+        appendStringField(frame, "label", event.label);
+        appendStringField(frame, "text", event.text);
         break;
       case Kind::AnswerDelta:
-        frame += ",\"text\":\"" + jsonEscape(event.text) + "\"";
+        appendStringField(frame, "text", event.text);
         break;
       case Kind::Done:
-        frame += ",\"answer\":\"" +
-                 jsonEscape(event.response ? event.response->text
-                                           : std::string()) +
-                 "\"";
+        appendStringField(frame, "answer", answer);
         // Degraded marker: the answer was generated from partial
         // evidence because the request's deadline expired
         // mid-retrieval. Absent on clean answers, so fault-free runs
@@ -483,8 +509,9 @@ eventFrame(const std::string &id, const core::StreamEvent &event,
             frame += ",\"degraded\":true";
         break;
     }
-    frame += requestIdField(request_id);
-    frame += "}";
+    if (!request_id.empty())
+        appendStringField(frame, "request_id", request_id);
+    frame += '}';
     return frame;
 }
 

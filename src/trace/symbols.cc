@@ -1,11 +1,11 @@
 #include "trace/symbols.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
+#include <cstring>
 
 #include "base/logging.hh"
 #include "base/random.hh"
-#include "base/str.hh"
 
 namespace cachemind::trace {
 
@@ -56,43 +56,60 @@ SymbolTable::sourceFor(std::uint64_t pc) const
 
 namespace {
 
-/** Table of plausible instruction templates; chosen by PC hash. */
+/** Plausible instruction templates, chosen by PC hash; '#' = immediate. */
 const char *const instr_templates[] = {
-    "mov    -0x%x(%%rbp),%%eax",
-    "mov    (%%rax,%%rbx,8),%%rdx",
-    "lea    0x%x(%%rsi),%%rdi",
-    "add    $0x%x,%%rax",
-    "cmp    %%edx,%%eax",
-    "test   %%al,%%al",
-    "movsd  (%%r12,%%r13,8),%%xmm0",
-    "mulsd  %%xmm1,%%xmm0",
-    "mov    %%rax,0x%x(%%rsp)",
-    "imul   $0x%x,%%rbx,%%rbx",
-    "movzbl (%%rdi),%%eax",
-    "sub    %%rcx,%%rdx",
+    "mov    -0x#(%rbp),%eax",
+    "mov    (%rax,%rbx,8),%rdx",
+    "lea    0x#(%rsi),%rdi",
+    "add    $0x#,%rax",
+    "cmp    %edx,%eax",
+    "test   %al,%al",
+    "movsd  (%r12,%r13,8),%xmm0",
+    "mulsd  %xmm1,%xmm0",
+    "mov    %rax,0x#(%rsp)",
+    "imul   $0x#,%rbx,%rbx",
+    "movzbl (%rdi),%eax",
+    "sub    %rcx,%rdx",
 };
 
 const char *const branch_templates[] = {
-    "jne    0x%x",
-    "je     0x%x",
-    "jmp    0x%x",
-    "jle    0x%x",
+    "jne    0x#",
+    "je     0x#",
+    "jmp    0x#",
+    "jle    0x#",
 };
 
-std::string
-formatTemplate(const char *tmpl, std::uint64_t imm)
+/** Append `v` in lower-case hex without leading zeros ("0" for 0). */
+void
+appendHex(std::string &out, std::uint64_t v)
 {
-    std::string out(tmpl);
-    const std::string imm_hex = [imm] {
-        std::ostringstream os;
-        os << std::hex << (imm & 0xfff);
-        return os.str();
-    }();
-    const auto pos = out.find("%x");
-    if (pos != std::string::npos)
-        out.replace(pos, 2, imm_hex);
-    // Collapse the escaped register sigils used in the template table.
-    return str::replaceAll(out, "%%", "%");
+    char buf[16];
+    const char *end = std::to_chars(buf, buf + sizeof buf, v, 16).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
+}
+
+void
+appendInstruction(std::string &out, std::uint64_t pc)
+{
+    const std::uint64_t h = splitMix64(pc * 0x9e3779b97f4a7c15ULL + 1);
+    const char *tmpl = nullptr;
+    std::uint64_t imm = 0;
+    if ((h & 0xff) < 0x28) {
+        tmpl = branch_templates[(h >> 8) % std::size(branch_templates)];
+        imm = pc + ((h >> 16) & 0x1ff) - 0x100; // the branch target
+    } else {
+        tmpl = instr_templates[(h >> 8) % std::size(instr_templates)];
+        imm = h >> 20;
+    }
+    appendHex(out, pc);
+    out += ": ";
+    // The template, its '#' spelled as the immediate's low 12 bits.
+    const char *mark = std::strchr(tmpl, '#');
+    out.append(tmpl, mark ? mark - tmpl : std::strlen(tmpl));
+    if (mark) {
+        appendHex(out, imm & 0xfff);
+        out += mark + 1;
+    }
 }
 
 } // namespace
@@ -100,42 +117,30 @@ formatTemplate(const char *tmpl, std::uint64_t imm)
 std::string
 renderInstruction(std::uint64_t pc)
 {
-    const std::uint64_t h = splitMix64(pc * 0x9e3779b97f4a7c15ULL + 1);
-    std::ostringstream os;
-    os << std::hex << pc << ": ";
-    if ((h & 0xff) < 0x28) {
-        const auto idx = (h >> 8) %
-            (sizeof(branch_templates) / sizeof(branch_templates[0]));
-        const std::uint64_t target = pc + ((h >> 16) & 0x1ff) - 0x100;
-        os << formatTemplate(branch_templates[idx], target);
-    } else {
-        const auto idx = (h >> 8) %
-            (sizeof(instr_templates) / sizeof(instr_templates[0]));
-        os << formatTemplate(instr_templates[idx], h >> 20);
-    }
-    return os.str();
+    std::string out;
+    appendInstruction(out, pc);
+    return out;
 }
 
 std::string
 SymbolTable::assemblyAround(std::uint64_t pc, int context) const
 {
-    std::ostringstream os;
+    // A header and 2 * context + 1 instructions, under 48 bytes each.
+    std::string out;
+    out.reserve(48 * (2 * static_cast<std::size_t>(std::max(context, 0)) + 2));
     const FunctionInfo *f = functionFor(pc);
     if (f)
-        os << "<" << f->name << ">:\n";
+        out.append("<").append(f->name).append(">:\n");
     // Synthetic encoding: instructions are 4 bytes apart.
-    const std::uint64_t step = 4;
     for (int i = -context; i <= context; ++i) {
-        const std::int64_t off = static_cast<std::int64_t>(i) *
-                                 static_cast<std::int64_t>(step);
-        const std::uint64_t cur =
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(pc) + off);
+        const std::uint64_t cur = pc + static_cast<std::uint64_t>(i) * 4;
         if (f && (cur < f->pc_begin || cur >= f->pc_end))
             continue;
-        os << (cur == pc ? " => " : "    ") << renderInstruction(cur)
-           << "\n";
+        out += cur == pc ? " => " : "    ";
+        appendInstruction(out, cur);
+        out += '\n';
     }
-    return os.str();
+    return out;
 }
 
 } // namespace cachemind::trace

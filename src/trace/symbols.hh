@@ -73,8 +73,9 @@ class SymbolTable
 };
 
 /**
- * Deterministically render a single synthetic instruction at `pc`.
- * Exposed for tests; used by SymbolTable::assemblyAround.
+ * Deterministically render a single synthetic instruction at `pc`:
+ * the text of `pc`'s line in SymbolTable::assemblyAround. Exposed for
+ * tests.
  */
 std::string renderInstruction(std::uint64_t pc);
 

@@ -250,9 +250,8 @@ TEST(StrTest, EditDistance)
     EXPECT_EQ(str::editDistance("", "abc"), 3u);
 }
 
-TEST(StrTest, ReplaceAllAndJoin)
+TEST(StrTest, Join)
 {
-    EXPECT_EQ(str::replaceAll("a%%b%%c", "%%", "%"), "a%b%c");
     EXPECT_EQ(str::join({"a", "b", "c"}, ", "), "a, b, c");
 }
 

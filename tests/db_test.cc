@@ -240,9 +240,13 @@ TEST(DatabaseTest, EndToEndSingleBuild)
         return entry->table.filter(&pc, nullptr, 1);
     }();
     ASSERT_FALSE(rows.empty());
+    // Source context is per PC, from the table's symbol table.
     const auto row = entry->table.row(rows[0]);
-    EXPECT_EQ(row.function_name, "chase");
-    EXPECT_NE(row.assembly_code.find("chase"), std::string::npos);
+    const auto *symbols = entry->table.symbols();
+    ASSERT_NE(symbols, nullptr);
+    EXPECT_EQ(symbols->functionName(row.program_counter), "chase");
+    EXPECT_NE(symbols->assemblyAround(row.program_counter).find("chase"),
+              std::string::npos);
 }
 
 TEST(DatabaseTest, StatsForIsCachedAndCorrect)
@@ -397,7 +401,9 @@ tableFingerprint(const TraceTable &t)
            << t.evictedAddressAt(i) << ',' << t.evictedPcAt(i) << '\n';
         if (i % 97 == 0) {
             const auto row = t.row(i);
-            os << row.function_name << '|' << row.recency_text << '|';
+            if (t.symbols())
+                os << t.symbols()->functionName(row.program_counter);
+            os << '|' << row.recency_text << '|';
             for (const auto &h : row.recent_access_history)
                 os << h.pc << ':' << h.address << ' ';
             os << '|';

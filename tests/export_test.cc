@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "base/random.hh"
 #include "base/str.hh"
 #include "db/builder.hh"
 #include "db/export.hh"
@@ -106,4 +107,21 @@ TEST(ExportTest, QuotingHandlesCommasAndQuotes)
     const auto text = os.str();
     const auto pos = text.find("metadata = \"");
     EXPECT_NE(pos, std::string::npos);
+}
+
+TEST(ExportTest, EntryCsvBytesMatchTheRecordedDigest)
+{
+    // Every row of the 30,000-row table, with and without snapshots.
+    // The digests were recorded while rows still carried their
+    // function name; csvRow now reads it from the symbol table by PC,
+    // and the function_name column must keep its bytes.
+    const auto *entry = sharedDb().find("microbench_evictions_lru");
+    std::ostringstream wide;
+    exportEntryCsv(*entry, wide);
+    ExportOptions narrow;
+    narrow.include_snapshots = false;
+    std::ostringstream thin;
+    exportEntryCsv(*entry, thin, narrow);
+    EXPECT_EQ(fnv1a(wide.str()), 0x0de781c98f0c0304ULL);
+    EXPECT_EQ(fnv1a(thin.str()), 0xab17c0d601138c21ULL);
 }

@@ -643,8 +643,7 @@ rowSignature(const db::AccessRow &r)
        << static_cast<int>(r.miss_type) << '|' << r.evicted_address
        << '|' << r.accessed_reuse_distance << '|' << r.accessed_recency
        << '|' << r.evicted_reuse_distance << '|' << r.recency_text
-       << '|' << r.function_name << '|'
-       << r.current_cache_lines.size() << '|'
+       << '|' << r.current_cache_lines.size() << '|'
        << r.cache_line_eviction_scores.size() << '|'
        << r.recent_access_history.size();
     return os.str();

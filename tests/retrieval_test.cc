@@ -789,15 +789,9 @@ randomRow(Rng &rng, const std::vector<std::string> &shared_strings)
     r.accessed_recency = rng.nextRange(-1, 1 << 20);
     r.evicted_reuse_distance = rng.nextRange(-1, 1 << 20);
     r.wrong_eviction = rng.nextBool(0.3);
-    // Rows of a slice repeat source strings constantly — draw from a
+    // Rows of a slice repeat recency strings constantly — draw from a
     // shared pool so the string table's dedupe is exercised.
-    const auto pick = [&]() -> const std::string & {
-        return shared_strings[rng.nextBelow(shared_strings.size())];
-    };
-    r.recency_text = pick();
-    r.function_name = pick();
-    r.function_code = pick();
-    r.assembly_code = pick();
+    r.recency_text = shared_strings[rng.nextBelow(shared_strings.size())];
     const std::size_t lines = rng.nextBelow(5);
     for (std::size_t i = 0; i < lines; ++i)
         r.current_cache_lines.push_back(
@@ -911,8 +905,8 @@ TEST(BundleCodecTest, RoundTripIsByteExactOverRandomBundles)
         EXPECT_EQ(decoded->trace_key, original.trace_key);
         ASSERT_EQ(decoded->rows.size(), original.rows.size());
         for (std::size_t i = 0; i < original.rows.size(); ++i) {
-            EXPECT_EQ(decoded->rows[i].assembly_code,
-                      original.rows[i].assembly_code);
+            EXPECT_EQ(decoded->rows[i].recency_text,
+                      original.rows[i].recency_text);
             EXPECT_EQ(decoded->rows[i].recent_access_history,
                       original.rows[i].recent_access_history);
         }
@@ -939,15 +933,12 @@ TEST(BundleCodecTest, RoundTripIsByteExactOverRandomBundles)
 TEST(BundleCodecTest, CompressesRepeatedStrings)
 {
     // The string table is the compression: a slice whose rows repeat
-    // their source strings must encode far smaller than the decoded
+    // their strings must encode far smaller than the decoded
     // footprint.
     ContextBundle b;
     b.retriever = "sieve";
     db::AccessRow row;
-    row.function_name = "spec_qbmv_mult";
-    row.function_code = std::string(512, 'c');
-    row.assembly_code = std::string(512, 'a');
-    row.recency_text = "first access to this address";
+    row.recency_text = std::string(512, 'r');
     for (int i = 0; i < 64; ++i) {
         row.index = static_cast<std::uint64_t>(i);
         b.rows.push_back(row);

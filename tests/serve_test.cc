@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the serving front-end: the line protocol (parse/render
- * round trips, malformed input), and the TCP server — N concurrent
+ * round trips, malformed input, escaping and event frames pinned
+ * byte for byte against the per-byte escaper), and the TCP server — N concurrent
  * clients receiving answers byte-identical to blocking ask() across
  * all three retrievers with the shared retrieval cache on, admission
  * control rejecting past capacity with a typed overloaded frame, a
@@ -133,6 +134,65 @@ expectHello(LineClient &client)
     return frame.has_value() && frame->at("frame") == "hello";
 }
 
+// The original per-byte escaper, kept verbatim as the reference:
+// jsonEscape now appends each run of bytes that needs no escape in
+// one call, and its output must not change by a single byte.
+std::string
+referenceJsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size() + 8);
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                static const char hex[] = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[(c >> 4) & 0xf];
+                out += hex[c & 0xf];
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * 20,000 seeded strings of length 0-4,096 that draw on all 256 byte
+ * values: half uniformly over every byte (an escape every ~8 bytes),
+ * half printable ASCII with one uniform byte in 64 (long unescaped
+ * runs, as in evidence text). Each byte comes from one SplitMix64
+ * step, which keeps the strings cheap to build under sanitizers.
+ */
+const std::vector<std::string> &
+escapePayloads()
+{
+    static const std::vector<std::string> payloads = [] {
+        std::vector<std::string> out(20000);
+        std::uint64_t x = 0x6a736f6eULL;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            std::string &s = out[i];
+            x = splitMix64(x);
+            s.resize(x % 4097);
+            const bool uniform = i % 2 == 0;
+            for (char &c : s) {
+                x = splitMix64(x);
+                const bool any = uniform || (x >> 58) == 0;
+                c = static_cast<char>(any ? x & 0xff
+                                          : 0x20 + (x >> 8) % 95);
+            }
+        }
+        return out;
+    }();
+    return payloads;
+}
+
 } // namespace
 
 // --------------------------------------------------------------- protocol
@@ -234,6 +294,68 @@ TEST(ProtocolTest, EventFramesParseBackWithEscapedPayloads)
     EXPECT_EQ(frame->at("id"), "7");
     EXPECT_EQ(frame->at("label"), "slice");
     EXPECT_EQ(frame->at("text"), event.text);
+}
+
+TEST(ProtocolTest, JsonEscapeMatchesThePerByteReference)
+{
+    for (const std::string &s : escapePayloads())
+        ASSERT_EQ(jsonEscape(s), referenceJsonEscape(s));
+    for (int c = 0; c < 256; ++c) {
+        const std::string s(1, static_cast<char>(c));
+        EXPECT_EQ(jsonEscape(s), referenceJsonEscape(s)) << c;
+    }
+}
+
+TEST(ProtocolTest, EventFramesMatchTheRecordedDigest)
+{
+    // Every event kind x every escape payload x with and without a
+    // request id, digested with FNV-1a. The digest was recorded from
+    // the frames the per-byte escaper and its concatenated fields
+    // rendered; any change to a frame's bytes moves it.
+    using Kind = StreamEvent::Kind;
+    const auto &payloads = escapePayloads();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto add = [&h](const std::string &frame) {
+        for (const char c : frame) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 0x100000001b3ULL;
+        }
+        h ^= '\n';
+        h *= 0x100000001b3ULL;
+    };
+    std::size_t frames = 0;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        const std::string &payload = payloads[i];
+        const std::string &other = payloads[(i + 1) % payloads.size()];
+        const std::string id = std::to_string(i) + other.substr(0, 8);
+        const std::string request_id = "r" + other.substr(0, 24);
+        for (const Kind kind : {Kind::Parsed, Kind::Planned,
+                                Kind::EvidenceChunk, Kind::AnswerDelta,
+                                Kind::Done}) {
+            // Each kind carries the payload in the field it renders.
+            StreamEvent event;
+            event.kind = kind;
+            if (kind == Kind::Parsed)
+                event.parsed.raw = payload;
+            if (kind == Kind::Planned)
+                event.cache_key = payload;
+            if (kind == Kind::EvidenceChunk)
+                event.label = other.substr(0, 16);
+            if (kind == Kind::EvidenceChunk || kind == Kind::AnswerDelta)
+                event.text = payload;
+            if (kind == Kind::Done && i % 3 != 0) {
+                auto response = std::make_shared<Response>();
+                response->text = payload;
+                response->bundle.degraded = i % 3 == 1;
+                event.response = std::move(response);
+            }
+            add(eventFrame(id, event));
+            add(eventFrame(id, event, request_id));
+            frames += 2;
+        }
+    }
+    EXPECT_EQ(frames, 200000u);
+    EXPECT_EQ(h, 0x183f7df962dccea6ULL);
 }
 
 TEST(ProtocolTest, NonFiniteDeadlinesAreRefusedAndRenderParsesBack)

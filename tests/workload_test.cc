@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 
+#include "base/random.hh"
 #include "policy/basic_policies.hh"
 #include "sim/llc_replay.hh"
 #include "trace/workload.hh"
@@ -213,6 +216,217 @@ TEST(SymbolTableTest, AssemblyIsDeterministicAndAnchored)
     EXPECT_NE(a.find("primal_bea_mpp"), std::string::npos);
     EXPECT_NE(a.find("=>"), std::string::npos);
     EXPECT_NE(a.find("4037aa"), std::string::npos);
+}
+
+namespace {
+
+// The original ostringstream disassembler, kept verbatim as the
+// reference: renderInstruction and assemblyAround now append into one
+// string, and their text must not change by a single byte. The one
+// change from the original is the fix in referenceFormatTemplate's
+// "%x" search (see there).
+const char *const reference_instr_templates[] = {
+    "mov    -0x%x(%%rbp),%%eax",
+    "mov    (%%rax,%%rbx,8),%%rdx",
+    "lea    0x%x(%%rsi),%%rdi",
+    "add    $0x%x,%%rax",
+    "cmp    %%edx,%%eax",
+    "test   %%al,%%al",
+    "movsd  (%%r12,%%r13,8),%%xmm0",
+    "mulsd  %%xmm1,%%xmm0",
+    "mov    %%rax,0x%x(%%rsp)",
+    "imul   $0x%x,%%rbx,%%rbx",
+    "movzbl (%%rdi),%%eax",
+    "sub    %%rcx,%%rdx",
+};
+
+const char *const reference_branch_templates[] = {
+    "jne    0x%x",
+    "je     0x%x",
+    "jmp    0x%x",
+    "jle    0x%x",
+};
+
+std::string
+referenceReplaceAll(std::string s, const std::string &from,
+                    const std::string &to)
+{
+    if (from.empty())
+        return s;
+    std::size_t pos = 0;
+    while ((pos = s.find(from, pos)) != std::string::npos) {
+        s.replace(pos, from.size(), to);
+        pos += to.size();
+    }
+    return s;
+}
+
+std::string
+referenceFormatTemplate(const char *tmpl, std::uint64_t imm)
+{
+    std::string out(tmpl);
+    const std::string imm_hex = [imm] {
+        std::ostringstream os;
+        os << std::hex << (imm & 0xfff);
+        return os.str();
+    }();
+    // The fix: a "%x" that follows a '%' is the escaped sigil of a
+    // register (%%xmm0), not the immediate; the original spliced the
+    // immediate into it ("mulsd  %205mm1,%xmm0").
+    auto pos = out.find("%x");
+    while (pos != std::string::npos && pos > 0 && out[pos - 1] == '%')
+        pos = out.find("%x", pos + 1);
+    if (pos != std::string::npos)
+        out.replace(pos, 2, imm_hex);
+    // Collapse the escaped register sigils used in the template table.
+    return referenceReplaceAll(out, "%%", "%");
+}
+
+std::string
+referenceRenderInstruction(std::uint64_t pc)
+{
+    const std::uint64_t h = splitMix64(pc * 0x9e3779b97f4a7c15ULL + 1);
+    std::ostringstream os;
+    os << std::hex << pc << ": ";
+    if ((h & 0xff) < 0x28) {
+        const auto idx = (h >> 8) %
+            (sizeof(reference_branch_templates) /
+             sizeof(reference_branch_templates[0]));
+        const std::uint64_t target = pc + ((h >> 16) & 0x1ff) - 0x100;
+        os << referenceFormatTemplate(reference_branch_templates[idx],
+                                      target);
+    } else {
+        const auto idx = (h >> 8) %
+            (sizeof(reference_instr_templates) /
+             sizeof(reference_instr_templates[0]));
+        os << referenceFormatTemplate(reference_instr_templates[idx],
+                                      h >> 20);
+    }
+    return os.str();
+}
+
+std::string
+referenceAssemblyAround(const trace::SymbolTable &symbols,
+                        std::uint64_t pc, int context)
+{
+    std::ostringstream os;
+    const trace::FunctionInfo *f = symbols.functionFor(pc);
+    if (f)
+        os << "<" << f->name << ">:\n";
+    // Synthetic encoding: instructions are 4 bytes apart.
+    const std::uint64_t step = 4;
+    for (int i = -context; i <= context; ++i) {
+        const std::int64_t off = static_cast<std::int64_t>(i) *
+                                 static_cast<std::int64_t>(step);
+        const std::uint64_t cur =
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(pc) + off);
+        if (f && (cur < f->pc_begin || cur >= f->pc_end))
+            continue;
+        os << (cur == pc ? " => " : "    ")
+           << referenceRenderInstruction(cur) << "\n";
+    }
+    return os.str();
+}
+
+/** Every register the instruction templates name. */
+const std::set<std::string> kTemplateRegisters = {
+    "rbp", "eax", "rax", "rbx", "rdx", "rsi", "rdi", "edx", "al",
+    "r12", "r13", "xmm0", "xmm1", "rsp", "rcx",
+};
+
+/** The '%' tokens of `text`: each '%' and the alphanumerics after it. */
+std::vector<std::string>
+percentTokens(const std::string &text)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] != '%')
+            continue;
+        std::size_t j = i + 1;
+        while (j < text.size() &&
+               std::isalnum(static_cast<unsigned char>(text[j])))
+            ++j;
+        out.push_back(text.substr(i + 1, j - i - 1));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SymbolTableTest, AssemblyMatchesTheStreamReference)
+{
+    // Contexts 0-3 around every byte PC of every function of every
+    // workload, plus PCs just outside each function (no header).
+    std::size_t windows = 0;
+    for (const auto kind : trace::allWorkloads()) {
+        auto model = trace::makeWorkload(kind);
+        const auto &symbols = model->symbols();
+        for (const auto &f : symbols.functions()) {
+            for (std::uint64_t pc = f.pc_begin - 16; pc < f.pc_end + 16;
+                 ++pc) {
+                for (int context = 0; context <= 3; ++context) {
+                    ASSERT_EQ(symbols.assemblyAround(pc, context),
+                              referenceAssemblyAround(symbols, pc,
+                                                      context))
+                        << std::hex << pc << " context " << context;
+                    ++windows;
+                }
+            }
+        }
+        EXPECT_EQ(symbols.assemblyAround(0x4037aa),
+                  referenceAssemblyAround(symbols, 0x4037aa, 2));
+    }
+    EXPECT_GT(windows, 10000u);
+}
+
+TEST(SymbolTableTest, InstructionsMatchTheStreamReference)
+{
+    Rng rng(0x61736dULL);
+    for (int i = 0; i < 200000; ++i) {
+        // Mix full-width PCs with text-segment-sized ones.
+        const std::uint64_t pc =
+            i % 2 ? rng.next() : 0x400000 + rng.nextBelow(0x100000);
+        ASSERT_EQ(trace::renderInstruction(pc),
+                  referenceRenderInstruction(pc))
+            << std::hex << pc;
+    }
+    for (const std::uint64_t pc :
+         {std::uint64_t{0}, std::uint64_t{0xff}, ~std::uint64_t{0}})
+        EXPECT_EQ(trace::renderInstruction(pc),
+                  referenceRenderInstruction(pc));
+}
+
+TEST(SymbolTableTest, RegisterOperandsNameTemplateRegisters)
+{
+    // Every '%' token names a register; none carries a spliced-in
+    // immediate ("%205mm1" for %xmm1).
+    const auto check = [](std::uint64_t pc) {
+        const std::string text = trace::renderInstruction(pc);
+        for (const std::string &reg : percentTokens(text)) {
+            if (!kTemplateRegisters.count(reg)) {
+                ADD_FAILURE() << "'%" << reg << "' in \"" << text << '"';
+                return false;
+            }
+        }
+        return true;
+    };
+    std::set<std::string> seen;
+    for (const auto kind : trace::allWorkloads()) {
+        auto model = trace::makeWorkload(kind);
+        for (const auto &f : model->symbols().functions()) {
+            for (std::uint64_t pc = f.pc_begin; pc < f.pc_end; ++pc) {
+                ASSERT_TRUE(check(pc));
+                for (const auto &reg :
+                     percentTokens(trace::renderInstruction(pc)))
+                    seen.insert(reg);
+            }
+        }
+    }
+    Rng rng(0x726567ULL);
+    for (int i = 0; i < 100000; ++i)
+        ASSERT_TRUE(check(rng.next()));
+    // The function PCs reach every register of the table.
+    EXPECT_EQ(seen, kTemplateRegisters);
 }
 
 TEST(SymbolTableTest, LookupBoundaries)
