@@ -7,22 +7,30 @@
  * a query over a per-(workload, policy) dataframe; in a CacheMindBench
  * sweep nearly every question is *cold* (unique slots), so the
  * cross-question bundle cache never amortises the scan. The index
- * amortises it at the shard level instead: one O(n) build per shard
- * yields row-ordered postings keyed by pc/address dictionary id and by
- * cache set, precomputed per-key hit/miss/eviction counters, and the
- * sorted unique-PC/set listings — after which every filter is a
- * postings lookup (or a kernel intersection) and every counting
- * aggregate is an O(1) counter read.
+ * amortises it at the shard level instead: one build per shard yields
+ * row-ordered postings keyed by PC dictionary id and by cache set,
+ * precomputed per-key hit/miss/eviction counters, the sorted
+ * unique-PC/set listings, and the table's rows sorted by (address,
+ * row) — after which a PC or set filter is a postings lookup (or a
+ * kernel intersection of the two), an address filter is a binary
+ * search for that address's run of rows, and a counting aggregate
+ * over one PC or set is an O(1) counter read.
+ *
+ * Addresses get no postings: nearly every access touches a new
+ * address (a table's addresses number ~90% of its rows), so per-key
+ * lists and counters would cost more than the rows they index. The
+ * address-sorted array costs 12 B per row, is built by a stable LSD
+ * radix sort, and yields an address's rows ascending.
  *
  * Postings are stored as roaring-style chunked containers
  * (db/postings_ops.hh): per 64K-row chunk either a sorted uint16 array
  * or a bitmap, intersected through the adaptive kernel selector
- * (galloping / SIMD merge / bitmap AND). Containers preserve row
- * order, so every consumer remains byte-identical to the reference
- * scan (enforced by randomized index-vs-scan equivalence tests). The
- * index is immutable after construction except for relaxed
- * instrumentation counters (lookups / rows skipped / per-kernel
- * dispatch counts) surfaced through EngineStats.
+ * (galloping / SIMD merge / bitmap AND). Containers and address runs
+ * preserve row order, so every consumer remains byte-identical to the
+ * reference scan (enforced by randomized index-vs-scan equivalence
+ * tests). The index is immutable after construction except for
+ * relaxed instrumentation counters (lookups / rows skipped /
+ * per-kernel dispatch counts) surfaced through EngineStats.
  */
 
 #ifndef CACHEMIND_DB_INDEX_HH
@@ -38,7 +46,7 @@ namespace cachemind::db {
 
 class TraceTable;
 
-/** Precomputed aggregates for one postings key (pc, address or set). */
+/** Precomputed aggregates for one postings key (pc or set). */
 struct IndexKeyCounts
 {
     std::uint64_t accesses = 0;
@@ -77,11 +85,27 @@ struct IndexTotals
     /** Elements processed by scalar kernels. */
     std::uint64_t scalar_ops = 0;
 
-    // ---- container mix across built shards ----
+    // ---- container mix across built shards (PC and set postings;
+    // the address-sorted rows are not chunked) ----
     std::uint64_t array_chunks = 0;
     std::uint64_t bitmap_chunks = 0;
-    /** Postings container payload bytes across built shards. */
+    /** PC and set postings payload bytes across built shards. */
     std::uint64_t postings_bytes = 0;
+};
+
+/** Borrowed ascending run of row ids: one address's rows. */
+struct RowSpan
+{
+    const std::uint32_t *first = nullptr;
+    const std::uint32_t *last = nullptr;
+
+    const std::uint32_t *begin() const { return first; }
+    const std::uint32_t *end() const { return last; }
+    std::size_t size() const
+    {
+        return static_cast<std::size_t>(last - first);
+    }
+    bool empty() const { return first == last; }
 };
 
 /** The per-shard postings index. Build once, read from any thread. */
@@ -100,13 +124,17 @@ class TraceIndex
 
     // ---- postings by dictionary id / set value (row-ordered) ----
     PostingsList pcPostings(std::uint32_t pc_id) const;
-    PostingsList addrPostings(std::uint32_t addr_id) const;
     /** Postings for a set *value*; empty when the set is untouched. */
     PostingsList setPostings(std::uint32_t set) const;
 
+    /**
+     * The rows holding `address`, ascending; empty when the address
+     * never appears. One binary search over the address-sorted rows.
+     */
+    RowSpan addressRows(std::uint64_t address) const;
+
     // ---- per-key counters (nullptr when the key is absent) ----
     const IndexKeyCounts *pcCounts(std::uint32_t pc_id) const;
-    const IndexKeyCounts *addrCounts(std::uint32_t addr_id) const;
     const IndexKeyCounts *setCounts(std::uint32_t set) const;
 
     /** Sorted unique PC values, cached at build time. */
@@ -159,7 +187,7 @@ class TraceIndex
         return rows_skipped_.load(std::memory_order_relaxed);
     }
 
-    /** Kernel dispatch counters (shared by all three keyspaces). */
+    /** Kernel dispatch counters (the DSL's PC and set intersections). */
     const PostingsOpsCounters &kernelCounters() const
     {
         return kernel_counters_;
@@ -168,20 +196,17 @@ class TraceIndex
     std::uint64_t
     arrayChunks() const
     {
-        return pc_store_.arrayChunks() + addr_store_.arrayChunks() +
-               set_store_.arrayChunks();
+        return pc_store_.arrayChunks() + set_store_.arrayChunks();
     }
     std::uint64_t
     bitmapChunks() const
     {
-        return pc_store_.bitmapChunks() + addr_store_.bitmapChunks() +
-               set_store_.bitmapChunks();
+        return pc_store_.bitmapChunks() + set_store_.bitmapChunks();
     }
     std::size_t
     postingsBytes() const
     {
-        return pc_store_.payloadBytes() + addr_store_.payloadBytes() +
-               set_store_.payloadBytes();
+        return pc_store_.payloadBytes() + set_store_.payloadBytes();
     }
 
   private:
@@ -190,13 +215,18 @@ class TraceIndex
     IndexKeyCounts totals_;
 
     PostingsStore pc_store_;
-    PostingsStore addr_store_;
     /** Set postings are keyed by set value (dense, small range). */
     PostingsStore set_store_;
 
     std::vector<IndexKeyCounts> pc_counts_;
-    std::vector<IndexKeyCounts> addr_counts_;
     std::vector<IndexKeyCounts> set_counts_;
+
+    /**
+     * Every row sorted by (address, row): sorted_addrs_[k] is the
+     * address of row sorted_rows_[k].
+     */
+    std::vector<std::uint64_t> sorted_addrs_;
+    std::vector<std::uint32_t> sorted_rows_;
 
     std::vector<std::uint64_t> unique_pcs_;
     std::vector<std::uint32_t> unique_sets_;

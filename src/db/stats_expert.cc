@@ -17,11 +17,22 @@ struct PcAccum
     stats::RunningStats recency;
 };
 
+/** One PC's counters and accumulators during the build pass. */
+struct PcSlot
+{
+    PcStats stats;
+    PcAccum accum;
+};
+
 } // namespace
 
 StatsExpert::StatsExpert(const TraceTable &table)
 {
-    std::map<std::uint64_t, PcAccum> accum;
+    // Accumulate into dense slots, then fill the maps once in key
+    // order: PCs by dictionary id (a table holds a handful), sets by
+    // value (at most the cache's set count).
+    std::vector<PcSlot> pcs;
+    std::vector<SetStats> sets;
 
     std::vector<double> recency_samples;
     std::vector<double> miss_samples;
@@ -29,10 +40,15 @@ StatsExpert::StatsExpert(const TraceTable &table)
     miss_samples.reserve(table.size());
 
     for (std::size_t i = 0; i < table.size(); ++i) {
-        const std::uint64_t pc = table.pcAt(i);
-        PcStats &ps = pc_stats_[pc];
-        PcAccum &pa = accum[pc];
-        ps.pc = pc;
+        // Dictionary ids are dense in first-appearance order, so a new
+        // PC's id is the next slot.
+        const std::uint32_t pc_id = table.pcIdAt(i);
+        if (pc_id == pcs.size()) {
+            pcs.emplace_back();
+            pcs.back().stats.pc = table.pcAt(i);
+        }
+        PcStats &ps = pcs[pc_id].stats;
+        PcAccum &pa = pcs[pc_id].accum;
         ++ps.accesses;
         ++summary_.accesses;
 
@@ -76,19 +92,31 @@ StatsExpert::StatsExpert(const TraceTable &table)
             miss_samples.push_back(miss ? 1.0 : 0.0);
         }
 
-        SetStats &ss = set_stats_[table.setAt(i)];
-        ss.set = table.setAt(i);
+        const std::uint32_t set = table.setAt(i);
+        if (set >= sets.size())
+            sets.resize(set + 1u);
+        SetStats &ss = sets[set];
+        ss.set = set;
         ++ss.accesses;
         if (!miss)
             ++ss.hits;
     }
 
-    for (auto &[pc, ps] : pc_stats_) {
-        const PcAccum &pa = accum[pc];
-        ps.mean_reuse_distance = pa.reuse.mean();
-        ps.reuse_distance_stdev = pa.reuse.stdev();
-        ps.mean_evicted_reuse_distance = pa.evicted_reuse.mean();
-        ps.mean_recency = pa.recency.mean();
+    std::sort(pcs.begin(), pcs.end(),
+              [](const PcSlot &a, const PcSlot &b) {
+                  return a.stats.pc < b.stats.pc;
+              });
+    for (PcSlot &slot : pcs) {
+        PcStats &ps = slot.stats;
+        ps.mean_reuse_distance = slot.accum.reuse.mean();
+        ps.reuse_distance_stdev = slot.accum.reuse.stdev();
+        ps.mean_evicted_reuse_distance = slot.accum.evicted_reuse.mean();
+        ps.mean_recency = slot.accum.recency.mean();
+        pc_stats_.emplace_hint(pc_stats_.end(), ps.pc, ps);
+    }
+    for (const SetStats &ss : sets) {
+        if (ss.accesses > 0)
+            set_stats_.emplace_hint(set_stats_.end(), ss.set, ss);
     }
 
     summary_.unique_pcs = pc_stats_.size();

@@ -62,7 +62,7 @@ void
 TraceTable::reserve(std::size_t rows, std::uint32_t ways)
 {
     pc_id_.reserve(rows);
-    addr_id_.reserve(rows);
+    addr_.reserve(rows);
     set_.reserve(rows);
     flags_.reserve(rows);
     miss_type_.reserve(rows);
@@ -83,16 +83,6 @@ TraceTable::internPc(std::uint64_t pc)
         pc, static_cast<std::uint32_t>(pcs_.size()));
     if (inserted)
         pcs_.push_back(pc);
-    return it->second;
-}
-
-std::uint32_t
-TraceTable::internAddr(std::uint64_t addr)
-{
-    auto [it, inserted] = addr_lookup_.try_emplace(
-        addr, static_cast<std::uint32_t>(addrs_.size()));
-    if (inserted)
-        addrs_.push_back(addr);
     return it->second;
 }
 
@@ -121,7 +111,7 @@ TraceTable::append(const sim::ReplayEvent &ev)
     }
 
     pc_id_.push_back(internPc(ev.pc));
-    addr_id_.push_back(internAddr(ev.address));
+    addr_.push_back(ev.address);
     set_.push_back(ev.set);
 
     std::uint8_t flags = 0;
@@ -235,26 +225,11 @@ TraceTable::containsPc(std::uint64_t pc) const
     return pc_lookup_.count(pc) > 0;
 }
 
-bool
-TraceTable::containsAddress(std::uint64_t address) const
-{
-    return addr_lookup_.count(address) > 0;
-}
-
 std::optional<std::uint32_t>
 TraceTable::pcIdOf(std::uint64_t pc) const
 {
     const auto it = pc_lookup_.find(pc);
     if (it == pc_lookup_.end())
-        return std::nullopt;
-    return it->second;
-}
-
-std::optional<std::uint32_t>
-TraceTable::addrIdOf(std::uint64_t address) const
-{
-    const auto it = addr_lookup_.find(address);
-    if (it == addr_lookup_.end())
         return std::nullopt;
     return it->second;
 }
@@ -269,28 +244,30 @@ TraceTable::filter(const std::uint64_t *pc, const std::uint64_t *address,
     const auto pc_id = pc ? pcIdOf(*pc) : std::nullopt;
     if (pc && !pc_id)
         return {};
-    const auto addr_id = address ? addrIdOf(*address) : std::nullopt;
-    if (address && !addr_id)
-        return {};
 
     const TraceIndex *idx_ptr = indexOrFallback();
     if (!idx_ptr)
         return filterScan(pc, address, limit);
     const TraceIndex &idx = *idx_ptr;
-    if (pc_id && addr_id) {
-        const PostingsList a = idx.pcPostings(*pc_id);
-        const PostingsList b = idx.addrPostings(*addr_id);
-        std::vector<std::uint32_t> out;
-        idx.intersect(a, b, limit, out);
-        idx.noteLookup(std::min(a.size(), b.size()));
+    std::vector<std::uint32_t> out;
+    if (address) {
+        // An address holds a few rows at most, so its ascending span
+        // is always the shorter list: walk it and check the PC column.
+        const RowSpan span = idx.addressRows(*address);
+        for (const std::uint32_t i : span) {
+            if (pc && pc_id_[i] != *pc_id)
+                continue;
+            out.push_back(i);
+            if (limit && out.size() >= limit)
+                break;
+        }
+        idx.noteLookup(span.size());
         return out;
     }
 
-    const PostingsList post =
-        pc_id ? idx.pcPostings(*pc_id) : idx.addrPostings(*addr_id);
+    const PostingsList post = idx.pcPostings(*pc_id);
     const std::size_t take =
         limit ? std::min(limit, post.size()) : post.size();
-    std::vector<std::uint32_t> out;
     decodeList(post, out, take);
     idx.noteLookup(take);
     return out;
@@ -302,23 +279,17 @@ TraceTable::filterScan(const std::uint64_t *pc,
                        std::size_t limit) const
 {
     std::vector<std::uint32_t> out;
-    std::uint32_t pc_id = 0, addr_id = 0;
+    std::uint32_t pc_id = 0;
     if (pc) {
         const auto it = pc_lookup_.find(*pc);
         if (it == pc_lookup_.end())
             return out;
         pc_id = it->second;
     }
-    if (address) {
-        const auto it = addr_lookup_.find(*address);
-        if (it == addr_lookup_.end())
-            return out;
-        addr_id = it->second;
-    }
     for (std::size_t i = 0; i < size(); ++i) {
         if (pc && pc_id_[i] != pc_id)
             continue;
-        if (address && addr_id_[i] != addr_id)
+        if (address && addr_[i] != *address)
             continue;
         out.push_back(static_cast<std::uint32_t>(i));
         if (limit && out.size() >= limit)

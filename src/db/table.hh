@@ -2,16 +2,19 @@
  * @file
  * The per-trace "dataframe" of the external database (§4.3).
  *
- * Storage is columnar with interned dictionaries for PCs and
- * addresses. Every replayed access is one row, and the cache stamps
- * each resident line with the (pc, stream index) of its last touch,
- * so a snapshot entry or a victim is stored as the index of that
- * earlier row, and a row's access history is the rows just before
- * it. The default 12-table database builds within ~400 MB. Rows
- * (AccessRow) carry no source context: a PC's function name, source
- * and disassembly come from symbols(), which renders a PC to the
- * same bytes every time — required for exact-match grading in
- * CacheMindBench.
+ * Storage is columnar. PCs are interned (a table holds a handful),
+ * while each row's address is a plain 64-bit column: nearly every
+ * access touches a new address, so a dictionary would compress
+ * nothing, and the lazy index answers address filters from one
+ * address-sorted row array instead. Every replayed access is one row,
+ * and the cache stamps each resident line with the (pc, stream index)
+ * of its last touch, so a snapshot entry or a victim is stored as the
+ * index of that earlier row, and a row's access history is the rows
+ * just before it. The default 12-table database (1,723,348 rows)
+ * builds into ~315 MB of resident memory. Rows (AccessRow) carry no
+ * source context: a PC's function name, source and disassembly come
+ * from symbols(), which renders a PC to the same bytes every time —
+ * required for exact-match grading in CacheMindBench.
  */
 
 #ifndef CACHEMIND_DB_TABLE_HH
@@ -123,10 +126,12 @@ class TraceTable
 
     // ----- Fast columnar accessors (no string work) -----
     std::uint64_t pcAt(std::size_t i) const { return pcs_[pc_id_[i]]; }
-    std::uint64_t addressAt(std::size_t i) const
-    {
-        return addrs_[addr_id_[i]];
-    }
+    /**
+     * Dictionary id of row `i`'s PC: dense from 0, in order of each
+     * PC's first appearance.
+     */
+    std::uint32_t pcIdAt(std::size_t i) const { return pc_id_[i]; }
+    std::uint64_t addressAt(std::size_t i) const { return addr_[i]; }
     std::uint32_t setAt(std::size_t i) const { return set_[i]; }
     bool isMissAt(std::size_t i) const { return flagAt(i, kMissBit); }
     bool bypassedAt(std::size_t i) const
@@ -184,19 +189,17 @@ class TraceTable
 
     /** Does this exact (pc) appear anywhere? O(1). */
     bool containsPc(std::uint64_t pc) const;
-    /** Does this exact (address) appear anywhere? O(1). */
-    bool containsAddress(std::uint64_t address) const;
 
     /** Dictionary id for a PC value; nullopt when absent. */
     std::optional<std::uint32_t> pcIdOf(std::uint64_t pc) const;
-    /** Dictionary id for an address value; nullopt when absent. */
-    std::optional<std::uint32_t> addrIdOf(std::uint64_t address) const;
 
     /**
      * Row indices matching optional pc/address filters, ascending.
-     * Served from the postings index (lookup or adaptive kernel
-     * intersection) — byte-identical to filterScan, sublinear in the
-     * table size. Row ids are uint32 to match the postings width.
+     * Served from the index: a PC alone decodes its postings; an
+     * address walks its rows in the index's address-sorted array and
+     * checks the PC column. Byte-identical to filterScan, sublinear
+     * in the table size. Row ids are uint32 to match the postings
+     * width.
      */
     std::vector<std::uint32_t>
     filter(const std::uint64_t *pc, const std::uint64_t *address,
@@ -255,21 +258,18 @@ class TraceTable
     }
 
     std::uint32_t internPc(std::uint64_t pc);
-    std::uint32_t internAddr(std::uint64_t addr);
 
     const trace::SymbolTable *symbols_ = nullptr;
     std::uint32_t line_bytes_ = 64;
     std::uint32_t history_len_ = 0;
 
-    // Dictionaries.
+    // PC dictionary.
     std::vector<std::uint64_t> pcs_;
-    std::vector<std::uint64_t> addrs_;
     std::unordered_map<std::uint64_t, std::uint32_t> pc_lookup_;
-    std::unordered_map<std::uint64_t, std::uint32_t> addr_lookup_;
 
     // Core columns.
     std::vector<std::uint32_t> pc_id_;
-    std::vector<std::uint32_t> addr_id_;
+    std::vector<std::uint64_t> addr_;
     std::vector<std::uint32_t> set_;
     std::vector<std::uint8_t> flags_;
     std::vector<std::uint8_t> miss_type_;

@@ -240,15 +240,16 @@ Interpreter::run(const DslProgram &prog, ExecScratch &scratch) const
 }
 
 /**
- * Row-filtered operations on the postings index. Counting aggregates
- * (CountRows/HitCount/MissRate) over zero or one filter key are
- * served straight from precomputed counters without touching a single
- * row. One filter dimension decodes the key's chunked postings into
- * the scratch buffer; two or more intersect the two smallest lists
- * through the adaptive kernels (galloping / SIMD merge / bitmap AND)
- * and walk the result with the residual filter checked against the
- * columns. Postings are ascending, so the visit order — and hence
- * every output bit — matches the reference scan.
+ * Row-filtered operations on the index. Counting aggregates
+ * (CountRows/HitCount/MissRate) with no filter or with one PC or set
+ * are served straight from precomputed counters without touching a
+ * single row, and the other ops decode that one key's chunked
+ * postings. A PC and a set intersect their postings through the
+ * adaptive kernels (galloping / SIMD merge / bitmap AND). An address
+ * walks its run in the index's address-sorted rows (a few hundred
+ * rows at most) and checks the PC and set columns. Postings and
+ * address runs are ascending, so the visit order — and hence every
+ * output bit — matches the reference scan.
  */
 DslResult
 Interpreter::runFilteredIndexed(const db::TraceEntry &entry,
@@ -268,119 +269,77 @@ Interpreter::runFilteredIndexed(const db::TraceEntry &entry,
 
     // Resolve filter keys; any absent key means zero matches.
     bool absent = false;
-    std::optional<std::uint32_t> pc_id, addr_id;
+    std::optional<std::uint32_t> pc_id;
     if (prog.pc) {
         pc_id = table.pcIdOf(*prog.pc);
         absent |= !pc_id;
     }
-    if (prog.address) {
-        addr_id = table.addrIdOf(*prog.address);
-        absent |= !addr_id;
-    }
     if (prog.set_id && !absent && idx.setCounts(*prog.set_id) == nullptr)
         absent = true;
-
-    const int dims = (prog.pc ? 1 : 0) + (prog.address ? 1 : 0) +
-                     (prog.set_id ? 1 : 0);
+    db::RowSpan addr_rows;
+    if (prog.address && !absent) {
+        addr_rows = idx.addressRows(*prog.address);
+        absent = addr_rows.empty();
+    }
+    const bool whole_table = !prog.pc && !prog.address && !prog.set_id;
 
     // Scan-equivalent instrumentation: rows actually walked.
     std::size_t visited = 0;
 
-    // Present postings lists, smallest first: lists[0] is the primary
-    // walk list; with two or more dimensions, lists[0] and lists[1]
-    // feed the kernel intersection. Counting ops at <= 1 dimension
-    // are pure counter reads — skip the gathering on that hot path.
-    const bool counting_op = prog.op == DslOp::CountRows ||
-                             prog.op == DslOp::MissRate ||
-                             prog.op == DslOp::HitCount;
-    db::PostingsList lists[3];
-    int num_lists = 0;
-    if (!absent && dims > 0 && !(counting_op && dims <= 1)) {
-        if (pc_id)
-            lists[num_lists++] = idx.pcPostings(*pc_id);
-        if (addr_id)
-            lists[num_lists++] = idx.addrPostings(*addr_id);
-        if (prog.set_id)
-            lists[num_lists++] = idx.setPostings(*prog.set_id);
-        std::sort(lists, lists + num_lists,
-                  [](const db::PostingsList &a,
-                     const db::PostingsList &b) {
-                      return a.size() < b.size();
-                  });
-    }
-
-    const auto rowMatches = [&](std::size_t i) {
-        if (prog.pc && table.pcAt(i) != *prog.pc)
-            return false;
-        if (prog.address && table.addressAt(i) != *prog.address)
-            return false;
-        if (prog.set_id && table.setAt(i) != *prog.set_id)
-            return false;
-        return true;
-    };
-
-    // Matched/miss counters are O(1) reads for zero or one filter
-    // dimension; with two or more, each op fuses the counting into
-    // its single walk over the smallest postings list (so the list is
-    // never walked twice and `visited` stays scan-comparable).
-    const bool have_counts = absent || dims <= 1;
+    // An address, or a PC and a set, gather their matches into `hits`
+    // with one walk, ascending. No filter, or one PC or set key, needs
+    // no walk: its counters are O(1) reads and `key_list` holds the
+    // key's postings.
+    const bool gathered =
+        !absent && (prog.address || (prog.pc && prog.set_id));
+    std::vector<std::uint32_t> &hits = scratch.rows;
+    hits.clear();
+    db::PostingsList key_list;
     std::size_t matched = 0, misses = 0;
     if (absent) {
         // matched stays 0.
-    } else if (dims == 0) {
+    } else if (prog.address) {
+        for (const std::uint32_t i : addr_rows) {
+            if ((!prog.pc || table.pcAt(i) == *prog.pc) &&
+                (!prog.set_id || table.setAt(i) == *prog.set_id))
+                hits.push_back(i);
+        }
+        visited += addr_rows.size();
+        matched = hits.size();
+    } else if (prog.pc && prog.set_id) {
+        const db::PostingsList a = idx.pcPostings(*pc_id);
+        const db::PostingsList b = idx.setPostings(*prog.set_id);
+        idx.intersect(a, b, 0, hits);
+        visited += std::min(a.size(), b.size());
+        matched = hits.size();
+    } else if (whole_table) {
         matched = n;
         misses = static_cast<std::size_t>(idx.totals().misses);
-    } else if (dims == 1) {
+    } else {
+        key_list = pc_id ? idx.pcPostings(*pc_id)
+                         : idx.setPostings(*prog.set_id);
         const db::IndexKeyCounts *c =
-            pc_id ? idx.pcCounts(*pc_id)
-                  : (addr_id ? idx.addrCounts(*addr_id)
-                             : idx.setCounts(*prog.set_id));
+            pc_id ? idx.pcCounts(*pc_id) : idx.setCounts(*prog.set_id);
         matched = static_cast<std::size_t>(c->accesses);
         misses = static_cast<std::size_t>(c->misses);
     }
 
-    // Two or more dimensions: intersect the two smallest lists through
-    // the adaptive kernels once, then walk the (ascending) result.
-    std::vector<std::uint32_t> &hits = scratch.rows;
-    hits.clear();
-    const bool kernel_path = !absent && dims >= 2;
-    if (kernel_path) {
-        idx.intersect(lists[0], lists[1], 0, hits);
-        visited += std::min(lists[0].size(), lists[1].size());
-    }
-    // The intersection already enforces its two dimensions; only a
-    // third one needs the residual column check.
-    const bool need_residual = dims >= 3;
-    const auto hitMatches = [&](std::size_t i) {
-        return !need_residual || rowMatches(i);
-    };
-
     switch (prog.op) {
       case DslOp::SelectRows: {
-        if (have_counts) {
-            const std::size_t take =
-                prog.limit ? std::min(prog.limit, matched) : matched;
-            if (take > 0 && dims == 0) {
-                for (std::size_t i = 0; i < take; ++i)
-                    res.rows.push_back(table.row(i));
-            } else if (take > 0) {
-                // dims == 1: the primary list is exactly the match
-                // set, so a limit-bounded decode is the whole walk.
-                db::decodeList(lists[0], hits, take);
-                for (const auto i : hits)
-                    res.rows.push_back(table.row(i));
+        const std::size_t take =
+            prog.limit ? std::min(prog.limit, matched) : matched;
+        if (take > 0 && whole_table) {
+            for (std::size_t i = 0; i < take; ++i)
+                res.rows.push_back(table.row(i));
+        } else if (take > 0) {
+            if (!gathered) {
+                // One key: its postings are exactly the match set, so
+                // a limit-bounded decode is the whole walk.
+                db::decodeList(key_list, hits, take);
                 visited += hits.size();
             }
-        } else {
-            // One walk: count every match, materialise the first
-            // `limit` (0 = all) — same rows, same order as the scan.
-            for (const auto i : hits) {
-                if (!hitMatches(i))
-                    continue;
-                ++matched;
-                if (!prog.limit || res.rows.size() < prog.limit)
-                    res.rows.push_back(table.row(i));
-            }
+            for (std::size_t k = 0; k < take; ++k)
+                res.rows.push_back(table.row(hits[k]));
         }
         res.ok = true;
         break;
@@ -388,13 +347,9 @@ Interpreter::runFilteredIndexed(const db::TraceEntry &entry,
       case DslOp::CountRows:
       case DslOp::MissRate:
       case DslOp::HitCount: {
-        if (!have_counts) {
-            for (const auto i : hits) {
-                if (hitMatches(i)) {
-                    ++matched;
-                    misses += table.isMissAt(i);
-                }
-            }
+        if (gathered) {
+            for (const auto i : hits)
+                misses += table.isMissAt(i);
         }
         if (prog.op == DslOp::CountRows) {
             res.number = static_cast<double>(matched);
@@ -426,22 +381,20 @@ Interpreter::runFilteredIndexed(const db::TraceEntry &entry,
             if (v != db::kNoValue)
                 xs.push_back(static_cast<double>(v));
         };
-        if (!absent && dims == 0) {
+        if (absent) {
+            // No samples.
+        } else if (whole_table) {
             for (std::size_t i = 0; i < n; ++i)
                 collect(i);
             visited += n;
-        } else if (!absent && have_counts) {
-            // dims == 1: the primary list is exactly the match set;
-            // walk it in place, no materialized row-id vector.
-            db::forEachRow(lists[0], collect);
-            visited += lists[0].size();
-        } else if (!absent) {
-            for (const auto i : hits) {
-                if (hitMatches(i)) {
-                    ++matched;
-                    collect(i);
-                }
-            }
+        } else if (gathered) {
+            for (const auto i : hits)
+                collect(i);
+        } else {
+            // One key: walk its postings in place, no materialized
+            // row-id vector.
+            db::forEachRow(key_list, collect);
+            visited += key_list.size();
         }
         aggregateSamples(xs, prog, res);
         break;

@@ -55,7 +55,8 @@ SieveRetriever::checkPremise(const ParsedQuery &q,
         const auto rows = filterRows(entry.table, &*q.pc, &*q.address, 1);
         if (rows.empty()) {
             // The tuple never occurs even though the PC exists.
-            bool addr_known = entry.table.containsAddress(*q.address);
+            const bool addr_known =
+                !filterRows(entry.table, nullptr, &*q.address, 1).empty();
             bundle.premise_violation = true;
             bundle.premise_note =
                 "PC " + str::hex(*q.pc) + " never accesses address " +

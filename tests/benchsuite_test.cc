@@ -2,20 +2,26 @@
  * @file
  * Tests for CacheMindBench: suite composition (Table 1), gold-answer
  * verification against the database, graders, and the evaluation
- * harness's aggregation.
+ * harness's aggregation; plus the pins that need the full default
+ * database the suite is generated from (its digest, the statistics
+ * expert on every table, parser identity).
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "base/random.hh"
+#include "base/stats_util.hh"
 #include "base/str.hh"
 #include "benchsuite/generator.hh"
 #include "benchsuite/harness.hh"
 #include "core/cachemind.hh"
 #include "db/builder.hh"
+#include "db/stats_expert.hh"
 #include "text/embedding.hh"
 
 using namespace cachemind;
@@ -568,6 +574,175 @@ TEST(DatabaseIdentityTest, DefaultDatabaseMatchesTheRecordedDigest)
 {
     ASSERT_EQ(sharedDb().size(), 12u);
     EXPECT_EQ(databaseDigest(sharedDb()), 0xcb5b61ee9042b092ULL);
+}
+
+namespace {
+
+/**
+ * StatsExpert's statistics as its original constructor computed them:
+ * one std::map lookup per row for the PC, its accumulators and the
+ * set. The body is that constructor's, verbatim but for the db::
+ * qualifiers, so the dense-slot build can be pinned to it bit for
+ * bit.
+ */
+struct MapBuiltStats
+{
+    struct PcAccum
+    {
+        stats::RunningStats reuse;
+        stats::RunningStats evicted_reuse;
+        stats::RunningStats recency;
+    };
+
+    std::map<std::uint64_t, db::PcStats> pc_stats_;
+    std::map<std::uint32_t, db::SetStats> set_stats_;
+    db::TraceSummary summary_;
+
+    explicit MapBuiltStats(const db::TraceTable &table)
+    {
+        std::map<std::uint64_t, PcAccum> accum;
+
+        std::vector<double> recency_samples;
+        std::vector<double> miss_samples;
+        recency_samples.reserve(table.size());
+        miss_samples.reserve(table.size());
+
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const std::uint64_t pc = table.pcAt(i);
+            db::PcStats &ps = pc_stats_[pc];
+            PcAccum &pa = accum[pc];
+            ps.pc = pc;
+            ++ps.accesses;
+            ++summary_.accesses;
+
+            const bool miss = table.isMissAt(i);
+            if (miss) {
+                ++ps.misses;
+                ++summary_.misses;
+            } else {
+                ++ps.hits;
+            }
+            switch (table.missTypeAt(i)) {
+              case sim::MissType::Compulsory: ++summary_.compulsory; break;
+              case sim::MissType::Capacity: ++summary_.capacity; break;
+              case sim::MissType::Conflict: ++summary_.conflict; break;
+              case sim::MissType::None: break;
+            }
+            if (table.bypassedAt(i))
+                ++summary_.bypasses;
+            if (table.hasVictimAt(i)) {
+                ++ps.evictions_caused;
+                ++summary_.evictions;
+                if (table.wrongEvictionAt(i)) {
+                    ++ps.wrong_evictions;
+                    ++summary_.wrong_evictions;
+                }
+                const std::int64_t erd = table.evictedReuseDistanceAt(i);
+                if (erd != db::kNoValue)
+                    pa.evicted_reuse.push(static_cast<double>(erd));
+            }
+
+            const std::int64_t rd = table.reuseDistanceAt(i);
+            if (rd != db::kNoValue) {
+                pa.reuse.push(static_cast<double>(rd));
+            } else {
+                ++ps.never_reused;
+            }
+            const std::int64_t rec = table.recencyAt(i);
+            if (rec != db::kNoValue) {
+                pa.recency.push(static_cast<double>(rec));
+                recency_samples.push_back(static_cast<double>(rec));
+                miss_samples.push_back(miss ? 1.0 : 0.0);
+            }
+
+            db::SetStats &ss = set_stats_[table.setAt(i)];
+            ss.set = table.setAt(i);
+            ++ss.accesses;
+            if (!miss)
+                ++ss.hits;
+        }
+
+        for (auto &[pc, ps] : pc_stats_) {
+            const PcAccum &pa = accum[pc];
+            ps.mean_reuse_distance = pa.reuse.mean();
+            ps.reuse_distance_stdev = pa.reuse.stdev();
+            ps.mean_evicted_reuse_distance = pa.evicted_reuse.mean();
+            ps.mean_recency = pa.recency.mean();
+        }
+
+        summary_.unique_pcs = pc_stats_.size();
+        summary_.recency_miss_correlation =
+            stats::pearson(recency_samples, miss_samples);
+    }
+};
+
+/** A double's bit pattern: equal bits, not merely equal values. */
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+} // namespace
+
+TEST(StatsExpertTest, DenseBuildMatchesTheMapBuildOnEveryDefaultTable)
+{
+    for (const auto &key : sharedDb().keys()) {
+        const db::StatsExpert &got = *sharedDb().statsFor(key);
+        const MapBuiltStats want(sharedDb().find(key)->table);
+
+        const auto pcs = got.allPcStats();
+        ASSERT_EQ(pcs.size(), want.pc_stats_.size()) << key;
+        std::size_t k = 0;
+        for (const auto &[pc, w] : want.pc_stats_) {
+            const db::PcStats &g = pcs[k++];
+            EXPECT_EQ(g.pc, w.pc) << key;
+            EXPECT_EQ(g.accesses, w.accesses) << key << " " << pc;
+            EXPECT_EQ(g.hits, w.hits) << key << " " << pc;
+            EXPECT_EQ(g.misses, w.misses) << key << " " << pc;
+            EXPECT_EQ(g.evictions_caused, w.evictions_caused) << key;
+            EXPECT_EQ(g.wrong_evictions, w.wrong_evictions) << key;
+            EXPECT_EQ(g.never_reused, w.never_reused) << key;
+            EXPECT_EQ(bitsOf(g.mean_reuse_distance),
+                      bitsOf(w.mean_reuse_distance))
+                << key << " " << pc;
+            EXPECT_EQ(bitsOf(g.reuse_distance_stdev),
+                      bitsOf(w.reuse_distance_stdev))
+                << key << " " << pc;
+            EXPECT_EQ(bitsOf(g.mean_evicted_reuse_distance),
+                      bitsOf(w.mean_evicted_reuse_distance))
+                << key << " " << pc;
+            EXPECT_EQ(bitsOf(g.mean_recency), bitsOf(w.mean_recency))
+                << key << " " << pc;
+        }
+
+        const auto sets = got.allSetStats();
+        ASSERT_EQ(sets.size(), want.set_stats_.size()) << key;
+        k = 0;
+        for (const auto &[set, w] : want.set_stats_) {
+            const db::SetStats &g = sets[k++];
+            EXPECT_EQ(g.set, w.set) << key;
+            EXPECT_EQ(g.accesses, w.accesses) << key << " set " << set;
+            EXPECT_EQ(g.hits, w.hits) << key << " set " << set;
+        }
+
+        const db::TraceSummary &g = got.summary();
+        const db::TraceSummary &w = want.summary_;
+        EXPECT_EQ(g.accesses, w.accesses) << key;
+        EXPECT_EQ(g.misses, w.misses) << key;
+        EXPECT_EQ(g.evictions, w.evictions) << key;
+        EXPECT_EQ(g.wrong_evictions, w.wrong_evictions) << key;
+        EXPECT_EQ(g.bypasses, w.bypasses) << key;
+        EXPECT_EQ(g.compulsory, w.compulsory) << key;
+        EXPECT_EQ(g.capacity, w.capacity) << key;
+        EXPECT_EQ(g.conflict, w.conflict) << key;
+        EXPECT_EQ(g.unique_pcs, w.unique_pcs) << key;
+        EXPECT_EQ(bitsOf(g.recency_miss_correlation),
+                  bitsOf(w.recency_miss_correlation))
+            << key;
+    }
 }
 
 TEST(ParserIdentityTest, NameIndexRanksExactlyLikeRankNames)

@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "db/builder.hh"
 #include "db/database.hh"
@@ -83,6 +84,29 @@ makeTinyTable()
     return t;
 }
 
+/**
+ * Table with the given address per row (PCs alternate 0xA00 and
+ * 0xB00, as in makeTinyTable): for address orders a real replay
+ * rarely produces.
+ */
+TraceTable
+makeAddressTable(const std::vector<std::uint64_t> &addresses)
+{
+    TraceTable t;
+    t.setLineBytes(64);
+    for (std::uint64_t i = 0; i < addresses.size(); ++i) {
+        sim::ReplayEvent ev;
+        ev.index = i;
+        ev.pc = tinyPc(i);
+        ev.address = addresses[i];
+        ev.line = ev.address / 64;
+        ev.set = static_cast<std::uint32_t>(ev.line % 4);
+        ev.hit = i % 3 != 0;
+        t.append(ev);
+    }
+    return t;
+}
+
 } // namespace
 
 TEST(TraceTableTest, ColumnarRoundTrip)
@@ -118,8 +142,12 @@ TEST(TraceTableTest, MembershipChecks)
     EXPECT_TRUE(t.containsPc(0xA00));
     EXPECT_TRUE(t.containsPc(0xB00));
     EXPECT_FALSE(t.containsPc(0xC00));
-    EXPECT_TRUE(t.containsAddress(0x1000));
-    EXPECT_FALSE(t.containsAddress(0x9999));
+    // An address's presence is a one-row filter on either path.
+    const std::uint64_t present = 0x1000, absent = 0x9999;
+    EXPECT_EQ(t.filter(nullptr, &present, 1).size(), 1u);
+    EXPECT_EQ(t.filterScan(nullptr, &present, 1).size(), 1u);
+    EXPECT_TRUE(t.filter(nullptr, &absent, 1).empty());
+    EXPECT_TRUE(t.filterScan(nullptr, &absent, 1).empty());
 }
 
 TEST(TraceTableTest, FilterByPcAndAddress)
@@ -567,6 +595,109 @@ TEST(TraceIndexTest, FilterMatchesReferenceScanOnRandomQueries)
             << "iter=" << iter << " pc=" << with_pc << ":" << pc
             << " addr=" << with_addr << ":" << addr
             << " limit=" << limit;
+    }
+}
+
+TEST(TraceIndexTest, EveryAddressOfARealTraceFiltersLikeTheScan)
+{
+    // astar revisits its addresses up to hundreds of times, so a sort
+    // that lost the row order within one address would show here.
+    const auto db = buildSingleDatabase(trace::WorkloadKind::Astar,
+                                        policy::PolicyKind::Lru);
+    const TraceTable &t = db.find("astar", "lru")->table;
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
+        expected;
+    for (std::size_t i = 0; i < t.size(); ++i)
+        expected[t.addressAt(i)].push_back(static_cast<std::uint32_t>(i));
+    const auto pcs = t.uniquePcsScan();
+
+    std::size_t longest = 0, untouched_checks = 0;
+    for (const auto &[address, rows] : expected) {
+        longest = std::max(longest, rows.size());
+        ASSERT_EQ(t.filter(nullptr, &address), rows) << address;
+        ASSERT_EQ(t.filter(nullptr, &address, 1),
+                  std::vector<std::uint32_t>{rows.front()})
+            << address;
+
+        // A PC that touched the address gets exactly its own rows.
+        const std::uint64_t toucher = t.pcAt(rows.back());
+        std::vector<std::uint32_t> toucher_rows;
+        for (const auto r : rows) {
+            if (t.pcAt(r) == toucher)
+                toucher_rows.push_back(r);
+        }
+        ASSERT_EQ(t.filter(&toucher, &address), toucher_rows) << address;
+
+        // A PC that never touched it gets nothing.
+        for (const auto pc : pcs) {
+            const bool touched =
+                std::any_of(rows.begin(), rows.end(), [&](auto r) {
+                    return t.pcAt(r) == pc;
+                });
+            if (!touched) {
+                ASSERT_TRUE(t.filter(&pc, &address).empty()) << address;
+                ++untouched_checks;
+                break;
+            }
+        }
+    }
+    EXPECT_GT(longest, 100u);
+    EXPECT_GT(untouched_checks, 0u);
+}
+
+TEST(TraceIndexTest, AddressFilterMatchesScanOnRadixEdgeKeys)
+{
+    // The index sorts addresses by 11-bit digits and skips a digit no
+    // address varies in. Edge keys: the extremes, pairs that differ
+    // only in bit 0, bit 63 or the first or last bit of a digit (each
+    // pair alone in its table, so only that bit varies), one address
+    // on every row (no digit varies), and a descending run.
+    const std::uint64_t base = 0x5a5a5a5a5a5a5a40ULL;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs = {
+        {0, ~0ULL}, {base, base ^ 1}, {base, base ^ (1ULL << 63)}};
+    for (unsigned shift = 0; shift < 64; shift += 11) {
+        pairs.emplace_back(base, base ^ (1ULL << shift));
+        pairs.emplace_back(
+            base, base ^ (1ULL << std::min(shift + 10, 63u)));
+    }
+    std::vector<std::vector<std::uint64_t>> tables;
+    std::vector<std::uint64_t> every_key;
+    for (const auto &[lo, hi] : pairs) {
+        tables.push_back({hi, lo, lo, hi, lo, hi, hi});
+        every_key.push_back(lo);
+        every_key.push_back(hi);
+    }
+    // Every key at once, twice, the second time in reverse row order.
+    const std::vector<std::uint64_t> reversed(every_key.rbegin(),
+                                              every_key.rend());
+    every_key.insert(every_key.end(), reversed.begin(), reversed.end());
+    tables.push_back(every_key);
+    tables.emplace_back(9, base);
+    std::vector<std::uint64_t> descending;
+    for (std::uint64_t i = 0; i < 40; ++i)
+        descending.push_back((40 - i) * 0x10000000040ULL);
+    tables.push_back(descending);
+
+    for (const auto &addresses : tables) {
+        const TraceTable t = makeAddressTable(addresses);
+        std::vector<std::uint64_t> probes = addresses;
+        probes.push_back(base + 64); // absent
+        probes.push_back(1);         // absent
+        const std::uint64_t pcs[] = {0xA00, 0xB00, 0xC00};
+        for (const auto address : probes) {
+            for (const std::size_t limit : {0, 1, 2}) {
+                ASSERT_EQ(t.filter(nullptr, &address, limit),
+                          t.filterScan(nullptr, &address, limit))
+                    << address << " limit " << limit;
+                for (const auto &pc : pcs) {
+                    ASSERT_EQ(t.filter(&pc, &address, limit),
+                              t.filterScan(&pc, &address, limit))
+                        << address << " pc " << pc << " limit "
+                        << limit;
+                }
+            }
+        }
+        ASSERT_NE(t.indexIfBuilt(), nullptr);
     }
 }
 

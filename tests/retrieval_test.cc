@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "base/random.hh"
@@ -972,6 +973,54 @@ TEST(BundleCodecTest, MalformedInputDecodesToNullopt)
 
 // ------------------------------------ indexed vs scan execution
 
+namespace {
+
+/**
+ * Addresses for `pc`'s premise check in `table`: one that only other
+ * PCs touch, and one that never appears.
+ */
+struct AddressProbes
+{
+    std::uint64_t others_only = 0;
+    std::uint64_t absent = 0;
+};
+
+AddressProbes
+addressProbes(const db::TraceTable &table, std::uint64_t pc)
+{
+    std::set<std::uint64_t> touched;
+    std::uint64_t highest = 0;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (table.pcAt(i) == pc)
+            touched.insert(table.addressAt(i));
+        highest = std::max(highest, table.addressAt(i));
+    }
+    AddressProbes probes;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (!touched.count(table.addressAt(i))) {
+            probes.others_only = table.addressAt(i);
+            break;
+        }
+    }
+    probes.absent = highest + 64;
+    EXPECT_TRUE(table.filterScan(&pc, &probes.others_only, 1).empty());
+    EXPECT_FALSE(table.filterScan(nullptr, &probes.others_only, 1).empty());
+    EXPECT_TRUE(table.filterScan(nullptr, &probes.absent, 1).empty());
+    return probes;
+}
+
+/** The per-access question Sieve checks the (PC, address) premise of. */
+std::string
+accessQuestion(std::uint64_t pc, std::uint64_t address)
+{
+    return "Does the memory access with PC " + str::hex(pc) +
+           " and address " + str::hex(address) +
+           " result in a cache hit or cache miss for the mcf workload "
+           "under LRU?";
+}
+
+} // namespace
+
 TEST(IndexedRetrievalTest, SieveBundlesByteIdenticalToScanPath)
 {
     // The postings index is a pure execution strategy: bundles must
@@ -982,13 +1031,12 @@ TEST(IndexedRetrievalTest, SieveBundlesByteIdenticalToScanPath)
     SieveRetriever indexed(sharedDb());
     SieveRetriever scanner(sharedDb(), scan_cfg);
     const auto known = knownAccess("mcf_evictions_lru");
+    const auto probes =
+        addressProbes(sharedDb().find("mcf_evictions_lru")->table, known.pc);
     const std::vector<std::string> questions = {
         "What is the miss rate for PC " + str::hex(known.pc) +
             " in the mcf workload with LRU?",
-        "Does the memory access with PC " + str::hex(known.pc) +
-            " and address " + str::hex(known.address) +
-            " result in a cache hit or cache miss for the mcf "
-            "workload under LRU?",
+        accessQuestion(known.pc, known.address),
         "How many times did PC " + str::hex(known.pc) +
             " appear in the mcf workload under LRU?",
         "List all unique PCs in the mcf workload under LRU.",
@@ -997,6 +1045,9 @@ TEST(IndexedRetrievalTest, SieveBundlesByteIdenticalToScanPath)
         "What is the miss rate for PC 0xdeadbeef in the mcf workload "
         "with LRU?", // premise violation path
         "Why does Belady outperform LRU in the mcf workload?",
+        // The (PC, address) premise fails both ways.
+        accessQuestion(known.pc, probes.others_only),
+        accessQuestion(known.pc, probes.absent),
     };
     for (const auto &q : questions) {
         const auto a = retrieveText(indexed, sharedDb(), q);
@@ -1006,8 +1057,40 @@ TEST(IndexedRetrievalTest, SieveBundlesByteIdenticalToScanPath)
         EXPECT_EQ(a.values, b.values) << q;
         EXPECT_EQ(a.total_matches, b.total_matches) << q;
     }
+    const auto note = [&](std::uint64_t address) {
+        return retrieveText(indexed, sharedDb(),
+                            accessQuestion(known.pc, address))
+            .premise_note;
+    };
+    EXPECT_NE(note(probes.others_only).find("touched by other PCs"),
+              std::string::npos);
+    EXPECT_NE(note(probes.absent).find("never appears at all"),
+              std::string::npos);
     // The execution knob is config like any other: fingerprinted.
     EXPECT_NE(indexed.cacheFingerprint(), scanner.cacheFingerprint());
+}
+
+TEST(IndexedRetrievalTest, ScanModeSieveChecksAddressPremisesOffTheIndex)
+{
+    // A scan-mode Sieve answers from the reference scan alone: its
+    // address premise check must not build the table's index.
+    const auto database = db::buildSingleDatabase(
+        trace::WorkloadKind::Mcf, policy::PolicyKind::Lru, 20000);
+    const db::TraceTable &table = database.find("mcf", "lru")->table;
+    const std::uint64_t pc = table.pcAt(0);
+    const auto probes = addressProbes(table, pc);
+    SieveConfig scan_cfg;
+    scan_cfg.use_index = false;
+    SieveRetriever scanner(database, scan_cfg);
+    const auto others = retrieveText(scanner, database,
+                                     accessQuestion(pc, probes.others_only));
+    const auto absent =
+        retrieveText(scanner, database, accessQuestion(pc, probes.absent));
+    EXPECT_NE(others.premise_note.find("touched by other PCs"),
+              std::string::npos);
+    EXPECT_NE(absent.premise_note.find("never appears at all"),
+              std::string::npos);
+    EXPECT_EQ(table.indexIfBuilt(), nullptr);
 }
 
 TEST(IndexedRetrievalTest, RangerBundlesByteIdenticalToScanPath)
