@@ -9,8 +9,10 @@
  * snapshot, victim and history columns. On a multicore host the
  * default build approaches the per-workload critical path; on a
  * single core it is the one-thread build plus noise — either way the
- * outputs must match. Exits 1 on the first mismatch; the speedup
- * floor is CI's to check, since it depends on the host's core count.
+ * outputs must match. It also prints the bytes the tables' columns
+ * reserve per row, which depends on no host. Exits 1 on the first
+ * mismatch; the speedup floor and the bytes-per-row bound are CI's to
+ * check.
  */
 
 #include <algorithm>
@@ -102,6 +104,19 @@ main()
                 std::max(std::thread::hardware_concurrency(), 1u),
                 par_ms);
     std::printf("speedup: %.2fx\n", par_ms > 0.0 ? seq_ms / par_ms : 0.0);
+
+    std::size_t rows = 0;
+    std::size_t bytes = 0;
+    for (const auto &key : parallel.keys()) {
+        const db::TraceTable &table = parallel.find(key)->table;
+        rows += table.size();
+        bytes += table.columnBytes();
+    }
+    std::printf("rows: %zu, column bytes: %zu\n", rows, bytes);
+    std::printf("bytes per row: %.1f\n",
+                rows ? static_cast<double>(bytes) /
+                           static_cast<double>(rows)
+                     : 0.0);
 
     // Equivalence check: the default build must be byte-identical.
     const std::string mismatch = firstMismatch(sequential, parallel);

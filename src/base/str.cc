@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -158,9 +159,17 @@ parseDouble(const std::string &s)
 std::string
 hex(std::uint64_t v)
 {
-    std::ostringstream os;
-    os << "0x" << std::hex << v;
-    return os.str();
+    std::string out("0x");
+    appendHex(out, v);
+    return out;
+}
+
+void
+appendHex(std::string &out, std::uint64_t v)
+{
+    char buf[16];
+    const char *end = std::to_chars(buf, buf + sizeof buf, v, 16).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
 std::string

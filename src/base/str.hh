@@ -61,6 +61,9 @@ std::optional<double> parseDouble(const std::string &s);
 /** Format as 0x-prefixed lower-case hex. */
 std::string hex(std::uint64_t v);
 
+/** Append `v` in lower-case hex without leading zeros ("0" for 0). */
+void appendHex(std::string &out, std::uint64_t v);
+
 /** Format a double with fixed decimals. */
 std::string fixed(double v, int decimals = 2);
 

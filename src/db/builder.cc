@@ -77,7 +77,8 @@ buildEntry(const std::string &workload_name,
     entry.table.setSymbols(symbols);
     entry.table.setLineBytes(cfg.llc.line_bytes);
     entry.table.setHistoryLen(history_len);
-    entry.table.reserve(stream.size(), cfg.llc.ways);
+    entry.table.setWays(cfg.llc.ways);
+    entry.table.reserve(stream.size());
 
     sim::LlcReplayer replayer(cfg.llc, std::move(pol));
     replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {

@@ -1,6 +1,7 @@
 #include "db/table.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "base/failpoint.hh"
 #include "base/logging.hh"
@@ -59,7 +60,16 @@ TraceTable::indexIfBuilt() const
 }
 
 void
-TraceTable::reserve(std::size_t rows, std::uint32_t ways)
+TraceTable::setWays(std::uint32_t ways)
+{
+    CM_ASSERT(empty(), "ways set after rows were appended");
+    // valid_ holds up to `ways`, and way_ up to ways - 1, in a byte.
+    CM_ASSERT(ways <= 0xff, ways, " ways do not fit the way columns");
+    ways_ = ways;
+}
+
+void
+TraceTable::reserve(std::size_t rows)
 {
     pc_id_.reserve(rows);
     addr_.reserve(rows);
@@ -70,10 +80,10 @@ TraceTable::reserve(std::size_t rows, std::uint32_t ways)
     recency_.reserve(rows);
     evicted_reuse_.reserve(rows);
     evicted_row_.reserve(rows);
-    snap_off_.reserve(rows + 1);
-    score_off_.reserve(rows + 1);
-    snap_row_.reserve(rows * ways);
-    scores_.reserve(rows * ways);
+    way_.reserve(rows);
+    valid_.reserve(rows);
+    link_.reserve(rows);
+    scores_.reserve(rows * ways_);
 }
 
 std::uint32_t
@@ -88,11 +98,17 @@ TraceTable::internPc(std::uint64_t pc)
 
 namespace {
 
-std::int64_t
-toSigned(std::uint64_t v)
+/** Rows a table may hold: every distance must fit an int32 column. */
+constexpr std::size_t kMaxRows = std::size_t{1} << 31;
+
+/** A distance as its column value: -1 (kNoValue) for the sentinel. */
+std::int32_t
+toColumn(std::uint64_t v)
 {
-    return v == policy::kNoNextUse ? kNoValue
-                                   : static_cast<std::int64_t>(v);
+    if (v == policy::kNoNextUse)
+        return static_cast<std::int32_t>(kNoValue);
+    CM_ASSERT(v < kMaxRows, "distance ", v, " does not fit an int32");
+    return static_cast<std::int32_t>(v);
 }
 
 } // namespace
@@ -103,12 +119,45 @@ TraceTable::append(const sim::ReplayEvent &ev)
     const std::size_t next_row = size();
     CM_ASSERT(ev.index == next_row, "event ", ev.index,
               " appended as row ", next_row);
+    CM_ASSERT(next_row + 1 < kMaxRows, "table full at ", next_row,
+              " rows");
     CM_ASSERT(ev.line == ev.address / line_bytes_,
               "event line is not its address's line");
-    if (snap_off_.empty()) {
-        snap_off_.push_back(0);
-        score_off_.push_back(0);
+    CM_ASSERT(ev.scores.size() == ways_, "event carries ",
+              ev.scores.size(), " scores for ", ways_, " ways");
+    CM_ASSERT(ev.snapshot.size() <= ways_, "event snapshot holds ",
+              ev.snapshot.size(), " lines for ", ways_, " ways");
+
+    // The snapshot is stored as a link to the set's latest earlier
+    // non-bypassed row, which touched one of the valid ways, so it is
+    // the latest of the snapshot's last touches. Check what row()
+    // walks on: entry k is way k (valid ways are a prefix), and the
+    // link row left exactly `valid` ways valid.
+    const auto valid = static_cast<std::uint32_t>(ev.snapshot.size());
+    std::uint32_t link = 0;
+    for (std::uint32_t k = 0; k < valid; ++k) {
+        const sim::SnapshotEntry &entry = ev.snapshot[k];
+        CM_ASSERT(entry.last_index < next_row,
+                  "snapshot entry references a later row");
+        const auto j = static_cast<std::uint32_t>(entry.last_index);
+        CM_ASSERT(way_[j] == k, "row ", next_row, ": snapshot way ", k,
+                  " was last touched by row ", j, " in way ",
+                  static_cast<unsigned>(way_[j]));
+        link = std::max(link, j);
     }
+    CM_ASSERT(valid == 0 ||
+                  valid == std::max<std::uint32_t>(valid_[link],
+                                                   way_[link] + 1u),
+              "row ", next_row, ": ", valid, " valid ways after row ",
+              link);
+    // A hit finds a valid way; a fill takes the first invalid one,
+    // unless the set is full and it evicts. A table without ways
+    // stores no snapshots, so its way column is not read.
+    CM_ASSERT(ways_ == 0 || ev.bypassed ||
+                  (ev.hit || ev.has_victim ? ev.way < valid
+                                           : ev.way == valid),
+              "row ", next_row, " touched way ", ev.way, " with ",
+              valid, " valid ways");
 
     pc_id_.push_back(internPc(ev.pc));
     addr_.push_back(ev.address);
@@ -126,27 +175,22 @@ TraceTable::append(const sim::ReplayEvent &ev)
     flags_.push_back(flags);
     miss_type_.push_back(static_cast<std::uint8_t>(ev.miss_type));
 
-    reuse_.push_back(toSigned(ev.reuse_distance));
-    recency_.push_back(toSigned(ev.recency));
-    evicted_reuse_.push_back(toSigned(ev.evicted_reuse_distance));
+    reuse_.push_back(toColumn(ev.reuse_distance));
+    recency_.push_back(toColumn(ev.recency));
+    evicted_reuse_.push_back(toColumn(ev.evicted_reuse_distance));
     CM_ASSERT(!ev.has_victim || ev.evicted_last_index < next_row,
               "victim references a later row");
     evicted_row_.push_back(
         ev.has_victim ? static_cast<std::uint32_t>(ev.evicted_last_index)
                       : 0);
 
-    for (const auto &entry : ev.snapshot) {
-        CM_ASSERT(entry.last_index < next_row,
-                  "snapshot entry references a later row");
-        snap_row_.push_back(static_cast<std::uint32_t>(entry.last_index));
-    }
-    snap_off_.push_back(static_cast<std::uint32_t>(snap_row_.size()));
-
+    way_.push_back(static_cast<std::uint8_t>(ev.way));
+    valid_.push_back(static_cast<std::uint8_t>(valid));
+    link_.push_back(valid > 0 ? link : kNoRow);
     for (const auto score : ev.scores) {
         scores_.push_back(static_cast<std::uint32_t>(
             std::min<std::uint64_t>(score, 0xffffffffULL)));
     }
-    score_off_.push_back(static_cast<std::uint32_t>(scores_.size()));
 }
 
 std::string
@@ -318,19 +362,53 @@ TraceTable::row(std::size_t i) const
     r.wrong_eviction = wrongEvictionAt(i);
     r.recency_text = recencyTextAt(i);
 
-    for (std::uint32_t k = snap_off_[i]; k < snap_off_[i + 1]; ++k) {
-        const std::uint32_t j = snap_row_[k];
-        r.current_cache_lines.push_back(
-            PcAddr{pcAt(j), lineAddressAt(j)});
+    // Way w holds the line of the latest earlier non-bypassed row of
+    // the set that touched w: walk the set's rows back from i until
+    // each valid way has its row, then list them in way order.
+    const std::uint32_t valid = valid_[i];
+    if (valid > 0) {
+        // toucher[w] is way w's row + 1; 0 until the walk finds it.
+        std::array<std::uint32_t, 0xff> toucher{};
+        std::uint32_t found = 0;
+        for (std::uint32_t j = link_[i]; found < valid; j = link_[j]) {
+            CM_ASSERT(j != kNoRow, "row ", i, ": the set's history ",
+                      "ends before ", valid, " ways are found");
+            std::uint32_t &slot = toucher[way_[j]];
+            if (slot == 0) {
+                slot = j + 1;
+                ++found;
+            }
+        }
+        r.current_cache_lines.reserve(valid);
+        for (std::uint32_t w = 0; w < valid; ++w) {
+            const std::uint32_t j = toucher[w] - 1;
+            r.current_cache_lines.push_back(
+                PcAddr{pcAt(j), lineAddressAt(j)});
+        }
     }
-    for (std::uint32_t k = score_off_[i]; k < score_off_[i + 1]; ++k)
-        r.cache_line_eviction_scores.push_back(scores_[k]);
+    const std::size_t first_score = i * ways_;
+    r.cache_line_eviction_scores.assign(
+        scores_.begin() + first_score,
+        scores_.begin() + first_score + ways_);
 
     // The access history is the rows just before this one.
     for (std::size_t j = i - std::min<std::size_t>(i, history_len_);
          j < i; ++j)
         r.recent_access_history.push_back(PcAddr{pcAt(j), addressAt(j)});
     return r;
+}
+
+std::size_t
+TraceTable::columnBytes() const
+{
+    const auto bytes = [](const auto &column) {
+        return column.capacity() * sizeof(column[0]);
+    };
+    return bytes(pcs_) + bytes(pc_id_) + bytes(addr_) + bytes(set_) +
+           bytes(flags_) + bytes(miss_type_) + bytes(reuse_) +
+           bytes(recency_) + bytes(evicted_reuse_) +
+           bytes(evicted_row_) + bytes(way_) + bytes(valid_) +
+           bytes(link_) + bytes(scores_);
 }
 
 } // namespace cachemind::db

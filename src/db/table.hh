@@ -8,13 +8,26 @@
  * nothing, and the lazy index answers address filters from one
  * address-sorted row array instead. Every replayed access is one row,
  * and the cache stamps each resident line with the (pc, stream index)
- * of its last touch, so a snapshot entry or a victim is stored as the
- * index of that earlier row, and a row's access history is the rows
- * just before it. The default 12-table database (1,723,348 rows)
- * builds into ~315 MB of resident memory. Rows (AccessRow) carry no
- * source context: a PC's function name, source and disassembly come
- * from symbols(), which renders a PC to the same bytes every time —
- * required for exact-match grading in CacheMindBench.
+ * of its last touch, so a victim is stored as the index of that
+ * earlier row, and a row's access history is the rows just before it.
+ *
+ * A row's snapshot (the lines resident in its set) is not stored at
+ * all: it is rebuilt from the set's earlier rows. Each row keeps the
+ * way it hit or filled, the number of valid ways before it, and a
+ * link to the previous non-bypassed row of its set. The LLC fills the
+ * lowest invalid way and never invalidates, so the valid ways are
+ * always ways 0..n-1, and way w holds the line of the latest
+ * non-bypassed row of the set that touched w. row() follows the links
+ * back until it has that row for each of the n ways (18.6 links on
+ * average over the default database), then lists them in way order.
+ * Every row carries exactly `ways` policy scores, so they need no
+ * offsets either, and the three distance columns are 32-bit (a
+ * distance is bounded by the table's length). The default 12-table
+ * database (1,723,348 rows) stores 104 bytes per row (columnBytes())
+ * and builds into ~200 MB of resident memory. Rows (AccessRow) carry
+ * no source context: a PC's function name, source and disassembly
+ * come from symbols(), which renders a PC to the same bytes every
+ * time — required for exact-match grading in CacheMindBench.
  */
 
 #ifndef CACHEMIND_DB_TABLE_HH
@@ -109,15 +122,24 @@ class TraceTable
     void setHistoryLen(std::uint32_t n) { history_len_ = n; }
 
     /**
-     * Reserve every column for `rows` rows, and the snapshot and score
-     * pools for `ways` entries per row: one per way of the row's set.
+     * Associativity of the replayed cache (at most 255): every event
+     * carries exactly this many scores and at most this many resident
+     * lines. 0 (the default) means events carry neither. Set before
+     * append.
      */
-    void reserve(std::size_t rows, std::uint32_t ways);
+    void setWays(std::uint32_t ways);
+
+    /** Reserve every column for `rows` rows of setWays() scores each. */
+    void reserve(std::size_t rows);
 
     /**
      * Append one replay event as row `ev.index`, which must equal
-     * size(). Snapshot entries and the victim are stored as their
-     * last-touch rows, so those must already be in the table.
+     * size(). The victim is stored as its last-touch row, and the
+     * snapshot as the link to the set's latest earlier row, so those
+     * rows must already be in the table. Asserts what row() relies
+     * on to rebuild the snapshot: entry k was last touched in way k,
+     * the set's valid ways grow only by fills, and every event
+     * carries exactly setWays() scores.
      */
     void append(const sim::ReplayEvent &ev);
 
@@ -234,8 +256,18 @@ class TraceTable
     /** The index if some reader already built it; nullptr otherwise. */
     const TraceIndex *indexIfBuilt() const;
 
-    /** Materialise row `i`'s columns (no per-PC source context). */
+    /**
+     * Materialise row `i`'s columns (no per-PC source context). The
+     * snapshot is rebuilt by walking the set's earlier rows.
+     */
     AccessRow row(std::size_t i) const;
+
+    /**
+     * Bytes reserved by the columns: capacity times element size,
+     * summed over every column (the PC dictionary's hash map and the
+     * lazy index are not counted).
+     */
+    std::size_t columnBytes() const;
 
   private:
     friend class TraceIndex;
@@ -243,6 +275,8 @@ class TraceTable
     static constexpr std::uint8_t kBypassBit = 1 << 1;
     static constexpr std::uint8_t kVictimBit = 1 << 2;
     static constexpr std::uint8_t kWrongBit = 1 << 3;
+    /** link_ of a row with no earlier non-bypassed row in its set. */
+    static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
     bool
     flagAt(std::size_t i, std::uint8_t bit) const
@@ -262,6 +296,7 @@ class TraceTable
     const trace::SymbolTable *symbols_ = nullptr;
     std::uint32_t line_bytes_ = 64;
     std::uint32_t history_len_ = 0;
+    std::uint32_t ways_ = 0;
 
     // PC dictionary.
     std::vector<std::uint64_t> pcs_;
@@ -273,17 +308,22 @@ class TraceTable
     std::vector<std::uint32_t> set_;
     std::vector<std::uint8_t> flags_;
     std::vector<std::uint8_t> miss_type_;
-    std::vector<std::int64_t> reuse_;
-    std::vector<std::int64_t> recency_;
-    std::vector<std::int64_t> evicted_reuse_;
+    // Distances; -1 is kNoValue.
+    std::vector<std::int32_t> reuse_;
+    std::vector<std::int32_t> recency_;
+    std::vector<std::int32_t> evicted_reuse_;
     /** Victim's last-touch row (0 when none). */
     std::vector<std::uint32_t> evicted_row_;
 
-    // Snapshot pools: [snap_off_[i], snap_off_[i+1]) slices of
-    // last-touch rows, one per resident line.
-    std::vector<std::uint32_t> snap_off_;
-    std::vector<std::uint32_t> snap_row_;
-    std::vector<std::uint32_t> score_off_;
+    // Snapshot columns: row() rebuilds row i's resident lines from
+    // them (see the file comment).
+    /** Way the row hit or filled (0 when bypassed). */
+    std::vector<std::uint8_t> way_;
+    /** Valid ways of the set before the row: its snapshot's size. */
+    std::vector<std::uint8_t> valid_;
+    /** Previous non-bypassed row of the same set (kNoRow if none). */
+    std::vector<std::uint32_t> link_;
+    /** Row i's policy scores: [i * ways_, (i + 1) * ways_). */
     std::vector<std::uint32_t> scores_;
 
     /**

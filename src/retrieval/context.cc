@@ -18,27 +18,45 @@ contextQualityName(ContextQuality q)
     return "?";
 }
 
+void
+appendRowLine(std::string &out, const db::AccessRow &row)
+{
+    out += "program_counter=0x";
+    str::appendHex(out, row.program_counter);
+    out += ", memory_address=0x";
+    str::appendHex(out, row.memory_address);
+    out += ", cache_set_id=";
+    out += std::to_string(row.cache_set_id);
+    out += row.is_miss ? ", evict=Cache Miss" : ", evict=Cache Hit";
+    if (row.is_miss) {
+        out += ", miss_type=";
+        out += sim::missTypeName(row.miss_type);
+    }
+    if (row.accessed_reuse_distance != db::kNoValue) {
+        out += ", reuse_distance=";
+        out += std::to_string(row.accessed_reuse_distance);
+    }
+    out += ", recency=";
+    out += row.recency_text;
+    if (row.has_victim) {
+        out += ", evicted_address=0x";
+        str::appendHex(out, row.evicted_address);
+        if (row.evicted_reuse_distance != db::kNoValue) {
+            out += " (needed again in ";
+            out += std::to_string(row.evicted_reuse_distance);
+            out += " accesses)";
+        }
+    }
+}
+
 std::string
 renderRowLine(const db::AccessRow &row)
 {
-    std::ostringstream os;
-    os << "program_counter=" << str::hex(row.program_counter)
-       << ", memory_address=" << str::hex(row.memory_address)
-       << ", cache_set_id=" << row.cache_set_id << ", evict="
-       << (row.is_miss ? "Cache Miss" : "Cache Hit");
-    if (row.is_miss)
-        os << ", miss_type=" << sim::missTypeName(row.miss_type);
-    if (row.accessed_reuse_distance != db::kNoValue)
-        os << ", reuse_distance=" << row.accessed_reuse_distance;
-    os << ", recency=" << row.recency_text;
-    if (row.has_victim) {
-        os << ", evicted_address=" << str::hex(row.evicted_address);
-        if (row.evicted_reuse_distance != db::kNoValue) {
-            os << " (needed again in " << row.evicted_reuse_distance
-               << " accesses)";
-        }
-    }
-    return os.str();
+    // Room for every field at its widest, and the recency text.
+    std::string out;
+    out.reserve(272 + row.recency_text.size());
+    appendRowLine(out, row);
+    return out;
 }
 
 std::string

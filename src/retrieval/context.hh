@@ -150,6 +150,9 @@ ContextQuality assessQuality(const ContextBundle &bundle);
 /** Compact single-line rendering of a row (slice listings). */
 std::string renderRowLine(const db::AccessRow &row);
 
+/** Append renderRowLine(row) to `out`. */
+void appendRowLine(std::string &out, const db::AccessRow &row);
+
 /**
  * Streaming consumer of evidence sections. A retriever that supports
  * chunked retrieval calls emit() as each section of the bundle is

@@ -207,8 +207,10 @@ SieveRetriever::retrieveParsed(const ParsedQuery &parsed,
         bundle.total_is_exact = false;
         if (sink.active()) {
             std::string slice;
-            for (const auto &row : bundle.rows)
-                slice += renderRowLine(row) + "\n";
+            for (const auto &row : bundle.rows) {
+                appendRowLine(slice, row);
+                slice += '\n';
+            }
             slice += "window matches: " +
                      std::to_string(bundle.total_matches);
             sink.emit("slice", slice);

@@ -50,7 +50,7 @@ struct CacheAccessResult
     /** Line skipped insertion (policy or external bypass). */
     bool bypassed = false;
     std::uint32_t set = 0;
-    /** Way hit or filled; undefined when bypassed. */
+    /** Way hit or filled (0 when bypassed). */
     std::uint32_t way = 0;
     /** A valid line was evicted to make room. */
     bool evicted = false;

@@ -181,6 +181,7 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         ev.address = a.address;
         ev.line = a.line;
         ev.set = res.set;
+        ev.way = res.way;
         ev.hit = res.hit;
         ev.bypassed = res.bypassed;
         ev.recency = kNoPrevUse;

@@ -84,6 +84,8 @@ struct ReplayEvent
     std::uint64_t address = 0;
     std::uint64_t line = 0;
     std::uint32_t set = 0;
+    /** Way the access hit or filled (0 when bypassed). */
+    std::uint32_t way = 0;
     bool hit = false;
     bool bypassed = false;
     MissType miss_type = MissType::None;

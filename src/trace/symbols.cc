@@ -1,11 +1,11 @@
 #include "trace/symbols.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 
 #include "base/logging.hh"
 #include "base/random.hh"
+#include "base/str.hh"
 
 namespace cachemind::trace {
 
@@ -79,15 +79,6 @@ const char *const branch_templates[] = {
     "jle    0x#",
 };
 
-/** Append `v` in lower-case hex without leading zeros ("0" for 0). */
-void
-appendHex(std::string &out, std::uint64_t v)
-{
-    char buf[16];
-    const char *end = std::to_chars(buf, buf + sizeof buf, v, 16).ptr;
-    out.append(buf, static_cast<std::size_t>(end - buf));
-}
-
 void
 appendInstruction(std::string &out, std::uint64_t pc)
 {
@@ -101,13 +92,13 @@ appendInstruction(std::string &out, std::uint64_t pc)
         tmpl = instr_templates[(h >> 8) % std::size(instr_templates)];
         imm = h >> 20;
     }
-    appendHex(out, pc);
+    str::appendHex(out, pc);
     out += ": ";
     // The template, its '#' spelled as the immediate's low 12 bits.
     const char *mark = std::strchr(tmpl, '#');
     out.append(tmpl, mark ? mark - tmpl : std::strlen(tmpl));
     if (mark) {
-        appendHex(out, imm & 0xfff);
+        str::appendHex(out, imm & 0xfff);
         out += mark + 1;
     }
 }

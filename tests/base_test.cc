@@ -23,6 +23,7 @@
 #include "base/stats_util.hh"
 #include "base/str.hh"
 #include "byte_mutations.hh"
+#include "stream_render_reference.hh"
 
 namespace cm = cachemind;
 namespace str = cachemind::str;
@@ -97,6 +98,25 @@ TEST(StrTest, HexParsing)
     EXPECT_FALSE(str::parseHex("0xzz").has_value());
     EXPECT_FALSE(str::parseHex("").has_value());
     EXPECT_EQ(str::hex(0x35e798a637fULL), "0x35e798a637f");
+}
+
+TEST(StrTest, HexMatchesTheStreamRendering)
+{
+    // Every digit count, both ends of the range, and seeded values
+    // of every width.
+    std::vector<std::uint64_t> values = {0, 1, 0xf, 0x10,
+                                         0xffffffffffffffffULL};
+    for (int bits = 1; bits <= 64; ++bits)
+        values.push_back(std::uint64_t{1} << (bits - 1));
+    cm::Rng rng(0x4e58);
+    for (int k = 0; k < 20000; ++k)
+        values.push_back(rng.next() >> rng.nextBelow(64));
+    for (const std::uint64_t v : values) {
+        ASSERT_EQ(str::hex(v), streamHex(v)) << v;
+        std::string appended = "x";
+        str::appendHex(appended, v);
+        ASSERT_EQ(appended, "x" + streamHex(v).substr(2)) << v;
+    }
 }
 
 TEST(StrTest, NumberParsing)

@@ -13,7 +13,9 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <thread>
 
+#include "base/parallel.hh"
 #include "base/random.hh"
 #include "base/stats_util.hh"
 #include "base/str.hh"
@@ -22,6 +24,10 @@
 #include "core/cachemind.hh"
 #include "db/builder.hh"
 #include "db/stats_expert.hh"
+#include "replay_rows.hh"
+#include "retrieval/context.hh"
+#include "sim/llc_replay.hh"
+#include "stream_render_reference.hh"
 #include "text/embedding.hh"
 
 using namespace cachemind;
@@ -574,6 +580,86 @@ TEST(DatabaseIdentityTest, DefaultDatabaseMatchesTheRecordedDigest)
 {
     ASSERT_EQ(sharedDb().size(), 12u);
     EXPECT_EQ(databaseDigest(sharedDb()), 0xcb5b61ee9042b092ULL);
+}
+
+// renderRowLine and str::hex append instead of streaming; every row
+// of a default table must render to the streamed bytes.
+TEST(DatabaseIdentityTest, RowLinesMatchTheStreamRenderingOnADefaultTable)
+{
+    const auto *entry = sharedDb().find("astar", "belady");
+    ASSERT_NE(entry, nullptr);
+    const db::TraceTable &t = entry->table;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const db::AccessRow row = t.row(i);
+        ASSERT_EQ(retrieval::renderRowLine(row), streamRowLine(row))
+            << "row " << i;
+        ASSERT_EQ(str::hex(row.memory_address),
+                  streamHex(row.memory_address))
+            << "row " << i;
+    }
+}
+
+// The digest above reads the snapshot and scores of every 16th row.
+// This replays every default (workload, policy) pair as the builder
+// does and compares every row of its table with the event it came
+// from, so every rebuilt snapshot is checked.
+TEST(DatabaseIdentityTest, EveryRowMatchesItsReplayedEvent)
+{
+    const db::BuildOptions options;
+    const std::size_t n_policies = options.policies.size();
+    struct Workload
+    {
+        std::string name;
+        std::vector<sim::LlcAccess> stream;
+        sim::OracleInfo oracle;
+    };
+    std::vector<Workload> workloads(options.workloads.size());
+    const std::size_t threads =
+        std::max(std::thread::hardware_concurrency(), 1u);
+    parallelFor(workloads.size(), threads, [&](std::size_t w) {
+        const auto model = trace::makeWorkload(options.workloads[w]);
+        workloads[w].name = model->info().name;
+        workloads[w].stream = sim::captureLlcStream(model->generate(),
+                                                    options.hierarchy);
+        workloads[w].oracle = sim::computeOracle(workloads[w].stream);
+    });
+
+    std::vector<std::string> mismatch(workloads.size() * n_policies);
+    std::vector<std::size_t> checked(mismatch.size(), 0);
+    parallelFor(mismatch.size(), threads, [&](std::size_t p) {
+        const Workload &w = workloads[p / n_policies];
+        const policy::PolicyKind pk = options.policies[p % n_policies];
+        const auto *entry =
+            sharedDb().find(w.name, policy::policyName(pk));
+        if (!entry) {
+            mismatch[p] = "no table";
+            return;
+        }
+        const std::uint32_t line_bytes = options.hierarchy.llc.line_bytes;
+        sim::LlcReplayer replayer(options.hierarchy.llc,
+                                  makeReplayPolicy(pk, w.stream, w.oracle));
+        replayer.replay(
+            w.stream, &w.oracle, [&](const sim::ReplayEvent &ev) {
+                if (!mismatch[p].empty())
+                    return;
+                if (ev.index >= entry->table.size()) {
+                    mismatch[p] = "more events than rows";
+                    return;
+                }
+                mismatch[p] = rowMismatch(entry->table, ev, line_bytes);
+                ++checked[p];
+            });
+    });
+    std::size_t rows = 0;
+    for (std::size_t p = 0; p < mismatch.size(); ++p) {
+        const auto key = db::TraceDatabase::keyFor(
+            workloads[p / n_policies].name,
+            policy::policyName(options.policies[p % n_policies]));
+        EXPECT_EQ(mismatch[p], "") << key;
+        EXPECT_EQ(checked[p], sharedDb().find(key)->table.size()) << key;
+        rows += checked[p];
+    }
+    EXPECT_EQ(rows, 1723348u);
 }
 
 namespace {

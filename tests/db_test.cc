@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "db/shard.hh"
 #include "db/stats_expert.hh"
 #include "db/table.hh"
+#include "replay_rows.hh"
 
 using namespace cachemind;
 using namespace cachemind::db;
@@ -42,9 +45,10 @@ tinyAddress(std::uint64_t i)
 }
 
 /**
- * Small hand-built table: 2 PCs, 3 lines in 3 sets, mixed hits and
- * misses. Like a real replay, every snapshot entry and the victim
- * name the earlier row that last touched their line.
+ * Small hand-built table: 2 PCs, 3 lines in 3 sets of 4 ways, mixed
+ * hits and misses. Like a real replay, every snapshot entry and the
+ * victim name the earlier row that last touched their line, and each
+ * set's one line sits in way 0 (ReplayEvent::way's default).
  */
 TraceTable
 makeTinyTable()
@@ -52,6 +56,7 @@ makeTinyTable()
     TraceTable t;
     t.setLineBytes(64);
     t.setHistoryLen(4);
+    t.setWays(4);
     for (std::uint64_t i = 0; i < 10; ++i) {
         sim::ReplayEvent ev;
         ev.index = i;
@@ -361,6 +366,48 @@ TEST(TraceTableTest, HistoryIsThePrecedingRows)
     }
 }
 
+namespace {
+
+/** Replay `stream` on `llc` into a table, checking every row. */
+TraceTable
+replayChecked(const sim::CacheConfig &llc,
+              std::unique_ptr<policy::ReplacementPolicy> pol,
+              const std::vector<sim::LlcAccess> &stream,
+              const sim::OracleInfo &oracle,
+              std::function<bool(std::uint64_t)> bypass = nullptr)
+{
+    TraceTable t;
+    t.setLineBytes(llc.line_bytes);
+    t.setWays(llc.ways);
+    sim::LlcReplayer replayer(llc, std::move(pol));
+    if (bypass)
+        replayer.cache().setBypassFilter(std::move(bypass));
+    // A row's snapshot depends only on earlier rows, so each row can
+    // be checked as soon as it is appended, with no copy of the event.
+    replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
+        t.append(ev);
+        if (!::testing::Test::HasFailure()) {
+            EXPECT_EQ(rowMismatch(t, ev, llc.line_bytes), "");
+        }
+    });
+    EXPECT_EQ(t.size(), stream.size());
+    return t;
+}
+
+/** One load per (pc, line) pair, at the line's first byte. */
+std::vector<sim::LlcAccess>
+lineStream(const std::vector<std::pair<std::uint64_t, std::uint64_t>>
+               &pc_lines)
+{
+    std::vector<sim::LlcAccess> stream;
+    for (const auto &[pc, line] : pc_lines)
+        stream.push_back(sim::LlcAccess{pc, line * 64, line,
+                                        trace::AccessType::Load});
+    return stream;
+}
+
+} // namespace
+
 TEST(TraceTableTest, RowReferencesMatchReplayedEvents)
 {
     // A small LLC so that sets fill and lines are evicted often.
@@ -371,41 +418,94 @@ TEST(TraceTableTest, RowReferencesMatchReplayedEvents)
         trace::makeWorkload(trace::WorkloadKind::Mcf)->generate(20000));
     const auto oracle = sim::computeOracle(stream);
     for (const auto pk :
-         {policy::PolicyKind::Lru, policy::PolicyKind::Belady}) {
-        TraceTable t;
-        t.setLineBytes(llc.line_bytes);
-        std::vector<sim::ReplayEvent> events;
-        sim::LlcReplayer replayer(llc, policy::makePolicy(pk));
-        replayer.replay(stream, &oracle,
-                        [&](const sim::ReplayEvent &ev) {
-                            t.append(ev);
-                            events.push_back(ev);
-                        });
-        ASSERT_EQ(t.size(), stream.size());
-
+         {policy::PolicyKind::Lru, policy::PolicyKind::Belady,
+          policy::PolicyKind::Parrot, policy::PolicyKind::Mlp}) {
+        const TraceTable t = replayChecked(
+            llc, makeReplayPolicy(pk, stream, oracle), stream, oracle);
         std::size_t victims = 0;
-        for (std::size_t i = 0; i < events.size(); ++i) {
-            const sim::ReplayEvent &ev = events[i];
-            const auto lines = t.row(i).current_cache_lines;
-            ASSERT_EQ(lines.size(), ev.snapshot.size()) << "row " << i;
-            for (std::size_t k = 0; k < lines.size(); ++k) {
-                ASSERT_EQ(lines[k],
-                          (PcAddr{ev.snapshot[k].pc,
-                                  ev.snapshot[k].line * llc.line_bytes}))
-                    << "row " << i << " way " << k;
-            }
-            ASSERT_EQ(t.hasVictimAt(i), ev.has_victim) << "row " << i;
-            if (!ev.has_victim)
-                continue;
-            ++victims;
-            ASSERT_EQ(t.evictedPcAt(i), ev.evicted_pc) << "row " << i;
-            ASSERT_EQ(t.evictedAddressAt(i),
-                      ev.evicted_line * llc.line_bytes)
-                << "row " << i;
-        }
-        // Belady bypasses most dead fills; both still evict often.
+        for (std::size_t i = 0; i < t.size(); ++i)
+            victims += t.hasVictimAt(i) ? 1 : 0;
+        // Belady bypasses most dead fills; every policy still evicts.
         EXPECT_GT(victims, 100u) << policy::policyName(pk);
     }
+}
+
+TEST(TraceTableTest, SnapshotRebuildEdgeCases)
+{
+    sim::CacheConfig llc = sim::defaultHierarchyConfig().llc;
+    llc.sets = 2;
+    llc.ways = 4;
+    // Even lines map to set 0, odd lines to set 1. PC 0xBAD's misses
+    // are bypassed. In set 0: four fills (line 0 first), two bypassed
+    // misses between two touches of line 2, then line 0, the set's
+    // first access and the oldest line, is never touched again while
+    // the others are hit, so LRU evicts it with line 10. Set 1 never
+    // fills: line 1 is hit over and over.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> accesses = {
+        {0xA0, 0}, {0xA1, 2}, {0xA2, 4}, {0xA3, 6},   // rows 0-3
+        {0xA0, 1},                                    // row 4
+        {0xBAD, 8}, {0xA4, 2}, {0xBAD, 12}, {0xA5, 2}, // rows 5-8
+    };
+    for (int k = 0; k < 12; ++k) {
+        accesses.push_back({0xB0 + static_cast<std::uint64_t>(k), 1});
+        accesses.push_back(
+            {0xC0, 4 + 2 * static_cast<std::uint64_t>(k % 2)});
+    }
+    accesses.push_back({0xD0, 10}); // evicts line 0
+    accesses.push_back({0xD1, 3});  // set 1's second line
+    const auto stream = lineStream(accesses);
+    const auto oracle = sim::computeOracle(stream);
+    const TraceTable t = replayChecked(
+        llc, policy::makePolicy(policy::PolicyKind::Lru), stream, oracle,
+        [](std::uint64_t pc) { return pc == 0xBAD; });
+
+    // Each set's first access sees an empty set.
+    EXPECT_TRUE(t.row(0).current_cache_lines.empty());
+    EXPECT_TRUE(t.row(4).current_cache_lines.empty());
+    // Bypassed rows leave the set as it was.
+    ASSERT_TRUE(t.bypassedAt(5));
+    ASSERT_TRUE(t.bypassedAt(7));
+    const std::vector<PcAddr> before_bypass = {
+        {0xA0, 0}, {0xA1, 128}, {0xA2, 256}, {0xA3, 384}};
+    EXPECT_EQ(t.row(5).current_cache_lines, before_bypass);
+    EXPECT_EQ(t.row(6).current_cache_lines, before_bypass);
+    const std::vector<PcAddr> after_hit = {
+        {0xA0, 0}, {0xA4, 128}, {0xA2, 256}, {0xA3, 384}};
+    EXPECT_EQ(t.row(7).current_cache_lines, after_hit);
+    EXPECT_EQ(t.row(8).current_cache_lines, after_hit);
+    // The full set's oldest line is still the set's first access.
+    const std::size_t evicting = 9 + 2 * 12;
+    ASSERT_EQ(t.pcAt(evicting), 0xD0u);
+    EXPECT_EQ(t.row(evicting).current_cache_lines[0], (PcAddr{0xA0, 0}));
+    EXPECT_TRUE(t.hasVictimAt(evicting));
+    EXPECT_EQ(t.evictedPcAt(evicting), 0xA0u);
+    // Set 1 still holds one line, last touched by the latest of its
+    // twelve hits (row 31, PC 0xBB).
+    ASSERT_EQ(t.pcAt(evicting + 1), 0xD1u);
+    EXPECT_EQ(t.row(evicting + 1).current_cache_lines,
+              (std::vector<PcAddr>{{0xBB, 64}}));
+}
+
+TEST(TraceTableTest, SnapshotRebuildWithOneWay)
+{
+    // Direct-mapped: every set holds one line, and every miss to a
+    // full set evicts it.
+    sim::CacheConfig llc = sim::defaultHierarchyConfig().llc;
+    llc.sets = 4;
+    llc.ways = 1;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> accesses;
+    for (std::uint64_t k = 0; k < 40; ++k)
+        accesses.push_back({0x100 + k, (k * 7) % 12});
+    const auto stream = lineStream(accesses);
+    const auto oracle = sim::computeOracle(stream);
+    const TraceTable t = replayChecked(
+        llc, policy::makePolicy(policy::PolicyKind::Lru), stream, oracle);
+    std::size_t victims = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_LE(t.row(i).current_cache_lines.size(), 1u);
+        victims += t.hasVictimAt(i) ? 1 : 0;
+    }
+    EXPECT_GT(victims, 20u);
 }
 
 namespace {

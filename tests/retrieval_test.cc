@@ -33,6 +33,7 @@
 #include "retrieval/secondary_tier.hh"
 #include "retrieval/sieve.hh"
 #include "retrieve_text.hh"
+#include "stream_render_reference.hh"
 
 using namespace cachemind;
 using namespace cachemind::retrieval;
@@ -329,6 +330,38 @@ TEST(ContextBundleTest, RenderContainsKeySections)
               std::string::npos);
     EXPECT_NE(text.find("[Trace slice]"), std::string::npos);
     EXPECT_NE(text.find(str::hex(known.pc)), std::string::npos);
+}
+
+TEST(ContextBundleTest, RowLineMatchesTheStreamRenderingOnSeededRows)
+{
+    // Every field at random, each optional part present or not, and
+    // distances across the whole int64 range.
+    const char *const recency[] = {"first access", "very recent",
+                                   "recent", "distant", "very distant"};
+    Rng rng(0x70e);
+    const auto distance = [&rng] {
+        return rng.nextBool(0.25)
+                   ? db::kNoValue
+                   : static_cast<std::int64_t>(rng.next()) >>
+                         rng.nextBelow(64);
+    };
+    for (int k = 0; k < 20000; ++k) {
+        db::AccessRow row;
+        row.program_counter = rng.next() >> rng.nextBelow(64);
+        row.memory_address = rng.next() >> rng.nextBelow(64);
+        row.cache_set_id = static_cast<std::uint32_t>(rng.next());
+        row.is_miss = rng.nextBool(0.5);
+        row.miss_type = static_cast<sim::MissType>(rng.nextBelow(4));
+        row.has_victim = rng.nextBool(0.5);
+        row.evicted_address = rng.next() >> rng.nextBelow(64);
+        row.accessed_reuse_distance = distance();
+        row.evicted_reuse_distance = distance();
+        row.recency_text = recency[rng.nextBelow(5)];
+        ASSERT_EQ(renderRowLine(row), streamRowLine(row)) << k;
+        std::string appended = "> ";
+        appendRowLine(appended, row);
+        ASSERT_EQ(appended, "> " + streamRowLine(row)) << k;
+    }
 }
 
 TEST(ContextQualityTest, NamesAreStable)
