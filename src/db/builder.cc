@@ -48,6 +48,18 @@ buildMetadataString(const StatsExpert &expert)
     return os.str();
 }
 
+void
+setUpTable(TraceTable &table, const sim::CacheConfig &llc,
+           const policy::ReplacementPolicy &pol, std::size_t rows,
+           std::uint32_t history_len)
+{
+    table.setLineBytes(llc.line_bytes);
+    table.setHistoryLen(history_len);
+    table.setWays(llc.ways);
+    table.setScoreRule(pol.scoreRule());
+    table.reserve(rows);
+}
+
 namespace {
 
 /**
@@ -75,10 +87,7 @@ buildEntry(const std::string &workload_name,
     entry.workload = workload_name;
     entry.policy = policy::policyName(pk);
     entry.table.setSymbols(symbols);
-    entry.table.setLineBytes(cfg.llc.line_bytes);
-    entry.table.setHistoryLen(history_len);
-    entry.table.setWays(cfg.llc.ways);
-    entry.table.reserve(stream.size());
+    setUpTable(entry.table, cfg.llc, *pol, stream.size(), history_len);
 
     sim::LlcReplayer replayer(cfg.llc, std::move(pol));
     replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {

@@ -44,6 +44,15 @@ struct BuildOptions
     std::size_t build_threads = 0;
 };
 
+/**
+ * Set `table` up for the replay of `rows` accesses to `llc` under
+ * `pol`, as buildDatabase sets up each of its tables before it
+ * appends the replay's events (the symbols aside).
+ */
+void setUpTable(TraceTable &table, const sim::CacheConfig &llc,
+                const policy::ReplacementPolicy &pol, std::size_t rows,
+                std::uint32_t history_len);
+
 /** Build the metadata summary string from a computed expert. */
 std::string buildMetadataString(const StatsExpert &expert);
 

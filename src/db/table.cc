@@ -69,6 +69,13 @@ TraceTable::setWays(std::uint32_t ways)
 }
 
 void
+TraceTable::setScoreRule(policy::ScoreRule rule)
+{
+    CM_ASSERT(empty(), "score rule set after rows were appended");
+    score_rule_ = rule;
+}
+
+void
 TraceTable::reserve(std::size_t rows)
 {
     pc_id_.reserve(rows);
@@ -83,7 +90,10 @@ TraceTable::reserve(std::size_t rows)
     way_.reserve(rows);
     valid_.reserve(rows);
     link_.reserve(rows);
-    scores_.reserve(rows * ways_);
+    if (score_rule_ == policy::ScoreRule::None)
+        scores_.reserve(rows * ways_);
+    else
+        touch_.reserve(rows);
 }
 
 std::uint32_t
@@ -100,6 +110,14 @@ namespace {
 
 /** Rows a table may hold: every distance must fit an int32 column. */
 constexpr std::size_t kMaxRows = std::size_t{1} << 31;
+
+/** A score as its column value, saturated to 32 bits. */
+std::uint32_t
+toScore(std::uint64_t score)
+{
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(score, 0xffffffffULL));
+}
 
 /** A distance as its column value: -1 (kNoValue) for the sentinel. */
 std::int32_t
@@ -159,6 +177,35 @@ TraceTable::append(const sim::ReplayEvent &ev)
               "row ", next_row, " touched way ", ev.way, " with ",
               valid, " valid ways");
 
+    if (score_rule_ == policy::ScoreRule::None) {
+        for (const auto score : ev.scores)
+            scores_.push_back(toScore(score));
+    } else {
+        // Row 0 sees its set empty, so its way 0 gives the untouched
+        // value. The set's first row after a toucher lists it, and
+        // gives the toucher's value. Every score, those included, is
+        // then checked against the rule.
+        if (next_row == 0 && ways_ > 0)
+            untouched_ = toScore(ev.scores[0]);
+        for (std::uint32_t k = 0; k < ways_; ++k) {
+            const std::uint32_t j =
+                k < valid ? static_cast<std::uint32_t>(
+                                ev.snapshot[k].last_index)
+                          : kNoRow;
+            const std::uint32_t score = toScore(ev.scores[k]);
+            if (j != kNoRow && !flagAt(j, kTouchBit)) {
+                // touch_[j] is still 0: the rule adds only the aging.
+                touch_[j] = score - derivedScore(next_row, j);
+                flags_[j] |= kTouchBit;
+            }
+            CM_ASSERT(derivedScore(next_row, j) == score, "row ",
+                      next_row, ": way ", k, " scores ", score,
+                      " where its policy's score rule gives ",
+                      derivedScore(next_row, j));
+        }
+        touch_.push_back(0);
+    }
+
     pc_id_.push_back(internPc(ev.pc));
     addr_.push_back(ev.address);
     set_.push_back(ev.set);
@@ -187,10 +234,6 @@ TraceTable::append(const sim::ReplayEvent &ev)
     way_.push_back(static_cast<std::uint8_t>(ev.way));
     valid_.push_back(static_cast<std::uint8_t>(valid));
     link_.push_back(valid > 0 ? link : kNoRow);
-    for (const auto score : ev.scores) {
-        scores_.push_back(static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(score, 0xffffffffULL)));
-    }
 }
 
 std::string
@@ -366,9 +409,9 @@ TraceTable::row(std::size_t i) const
     // the set that touched w: walk the set's rows back from i until
     // each valid way has its row, then list them in way order.
     const std::uint32_t valid = valid_[i];
+    // toucher[w] is way w's row + 1; 0 until the walk finds it.
+    std::array<std::uint32_t, 0xff> toucher{};
     if (valid > 0) {
-        // toucher[w] is way w's row + 1; 0 until the walk finds it.
-        std::array<std::uint32_t, 0xff> toucher{};
         std::uint32_t found = 0;
         for (std::uint32_t j = link_[i]; found < valid; j = link_[j]) {
             CM_ASSERT(j != kNoRow, "row ", i, ": the set's history ",
@@ -386,10 +429,19 @@ TraceTable::row(std::size_t i) const
                 PcAddr{pcAt(j), lineAddressAt(j)});
         }
     }
-    const std::size_t first_score = i * ways_;
-    r.cache_line_eviction_scores.assign(
-        scores_.begin() + first_score,
-        scores_.begin() + first_score + ways_);
+    if (score_rule_ == policy::ScoreRule::None) {
+        const std::size_t first_score = i * ways_;
+        r.cache_line_eviction_scores.assign(
+            scores_.begin() + first_score,
+            scores_.begin() + first_score + ways_);
+    } else {
+        // Ways past the valid ones were never touched: toucher[w] - 1
+        // is kNoRow for them.
+        r.cache_line_eviction_scores.reserve(ways_);
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            r.cache_line_eviction_scores.push_back(
+                derivedScore(i, toucher[w] - 1));
+    }
 
     // The access history is the rows just before this one.
     for (std::size_t j = i - std::min<std::size_t>(i, history_len_);
@@ -408,7 +460,7 @@ TraceTable::columnBytes() const
            bytes(flags_) + bytes(miss_type_) + bytes(reuse_) +
            bytes(recency_) + bytes(evicted_reuse_) +
            bytes(evicted_row_) + bytes(way_) + bytes(valid_) +
-           bytes(link_) + bytes(scores_);
+           bytes(link_) + bytes(touch_) + bytes(scores_);
 }
 
 } // namespace cachemind::db

@@ -20,14 +20,23 @@
  * non-bypassed row of the set that touched w. row() follows the links
  * back until it has that row for each of the n ways (18.6 links on
  * average over the default database), then lists them in way order.
- * Every row carries exactly `ways` policy scores, so they need no
- * offsets either, and the three distance columns are 32-bit (a
- * distance is bounded by the table's length). The default 12-table
- * database (1,723,348 rows) stores 104 bytes per row (columnBytes())
- * and builds into ~200 MB of resident memory. Rows (AccessRow) carry
- * no source context: a PC's function name, source and disassembly
- * come from symbols(), which renders a PC to the same bytes every
- * time — required for exact-match grading in CacheMindBench.
+ *
+ * A row's policy scores are derived from the same rows when the
+ * policy promises a policy::ScoreRule: each row keeps one touch
+ * value, the score its way reads at the next row, and a valid way's
+ * score is its last toucher's value, plus the rows since that touch
+ * when scores age by one per access. A never-touched way reads one
+ * per-table value (plus the row's index when scores age). append()
+ * learns each value from the set's next row and checks every score
+ * of every later row against it. A policy with no rule stores all
+ * `ways` scores of every row, with no offsets. The three distance
+ * columns are 32-bit (a distance is bounded by the table's length).
+ * The default 12-table database (1,723,348 rows, all four policies
+ * with a rule) stores 44 bytes per row (columnBytes()) and builds
+ * into ~114 MB of resident memory. Rows (AccessRow) carry no source
+ * context: a PC's function name, source and disassembly come from
+ * symbols(), which renders a PC to the same bytes every time —
+ * required for exact-match grading in CacheMindBench.
  */
 
 #ifndef CACHEMIND_DB_TABLE_HH
@@ -43,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "policy/replacement.hh"
 #include "sim/llc_replay.hh"
 #include "trace/symbols.hh"
 
@@ -129,7 +139,17 @@ class TraceTable
      */
     void setWays(std::uint32_t ways);
 
-    /** Reserve every column for `rows` rows of setWays() scores each. */
+    /**
+     * The rule the replayed policy's scores follow
+     * (ReplacementPolicy::scoreRule()): None (the default) stores
+     * every score, the other two derive them. Set before append.
+     */
+    void setScoreRule(policy::ScoreRule rule);
+
+    /**
+     * Reserve every column for `rows` rows: one touch value each under
+     * a score rule, setWays() scores each without one.
+     */
     void reserve(std::size_t rows);
 
     /**
@@ -137,9 +157,10 @@ class TraceTable
      * size(). The victim is stored as its last-touch row, and the
      * snapshot as the link to the set's latest earlier row, so those
      * rows must already be in the table. Asserts what row() relies
-     * on to rebuild the snapshot: entry k was last touched in way k,
-     * the set's valid ways grow only by fills, and every event
-     * carries exactly setWays() scores.
+     * on to rebuild the snapshot and the scores: entry k was last
+     * touched in way k, the set's valid ways grow only by fills,
+     * every event carries exactly setWays() scores, and under a
+     * score rule every score is the one the rule derives.
      */
     void append(const sim::ReplayEvent &ev);
 
@@ -258,7 +279,8 @@ class TraceTable
 
     /**
      * Materialise row `i`'s columns (no per-PC source context). The
-     * snapshot is rebuilt by walking the set's earlier rows.
+     * snapshot is rebuilt by walking the set's earlier rows, and
+     * under a score rule the scores are derived from the same rows.
      */
     AccessRow row(std::size_t i) const;
 
@@ -275,7 +297,12 @@ class TraceTable
     static constexpr std::uint8_t kBypassBit = 1 << 1;
     static constexpr std::uint8_t kVictimBit = 1 << 2;
     static constexpr std::uint8_t kWrongBit = 1 << 3;
-    /** link_ of a row with no earlier non-bypassed row in its set. */
+    /** touch_ holds the row's value: a later row of its set listed it. */
+    static constexpr std::uint8_t kTouchBit = 1 << 4;
+    /**
+     * link_ of a row with no earlier non-bypassed row in its set, and
+     * the toucher of a way no row touched.
+     */
     static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
     bool
@@ -291,12 +318,30 @@ class TraceTable
         return addressAt(j) / line_bytes_ * line_bytes_;
     }
 
+    /**
+     * Row `i`'s score of a way last touched by row `j` (kNoRow: never
+     * touched) under a score rule: the toucher's value, plus the rows
+     * since the touch when scores age. A never-touched way ages from
+     * row -1, which kNoRow is modulo 2^32.
+     */
+    std::uint32_t
+    derivedScore(std::size_t i, std::uint32_t j) const
+    {
+        const std::uint32_t value = j == kNoRow ? untouched_ : touch_[j];
+        if (score_rule_ != policy::ScoreRule::AgesPerAccess)
+            return value;
+        return value + static_cast<std::uint32_t>(i - j - 1);
+    }
+
     std::uint32_t internPc(std::uint64_t pc);
 
     const trace::SymbolTable *symbols_ = nullptr;
     std::uint32_t line_bytes_ = 64;
     std::uint32_t history_len_ = 0;
     std::uint32_t ways_ = 0;
+    policy::ScoreRule score_rule_ = policy::ScoreRule::None;
+    /** Score of a way no row touched, less the row index if aging. */
+    std::uint32_t untouched_ = 0;
 
     // PC dictionary.
     std::vector<std::uint64_t> pcs_;
@@ -323,7 +368,13 @@ class TraceTable
     std::vector<std::uint8_t> valid_;
     /** Previous non-bypassed row of the same set (kNoRow if none). */
     std::vector<std::uint32_t> link_;
-    /** Row i's policy scores: [i * ways_, (i + 1) * ways_). */
+    /**
+     * Under a score rule: the score the way row i touched reads at
+     * the set's next row, less the rows between if aging; 0 until
+     * that row is appended, and for ever in a bypassed row.
+     */
+    std::vector<std::uint32_t> touch_;
+    /** Without one: row i's scores, [i * ways_, (i + 1) * ways_). */
     std::vector<std::uint32_t> scores_;
 
     /**

@@ -27,6 +27,11 @@ class LruPolicy : public ReplacementPolicy
                   const AccessInfo &info) override;
     std::uint64_t lineScore(std::uint32_t set,
                             std::uint32_t way) const override;
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::AgesPerAccess;
+    }
 
   private:
     void touch(std::uint32_t set, std::uint32_t way);
@@ -73,6 +78,12 @@ class RandomPolicy : public ReplacementPolicy
         override;
     void onInsert(std::uint32_t set, std::uint32_t way,
                   const AccessInfo &info) override;
+    /** Every score is the base class's 0. */
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::HeldSinceTouch;
+    }
 
   private:
     std::uint32_t ways_ = 0;
@@ -108,6 +119,11 @@ class BeladyPolicy : public ReplacementPolicy
                   const AccessInfo &info) override;
     std::uint64_t lineScore(std::uint32_t set,
                             std::uint32_t way) const override;
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::HeldSinceTouch;
+    }
 
   private:
     bool allow_bypass_;

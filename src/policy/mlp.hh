@@ -69,6 +69,11 @@ class MlpPolicy : public ReplacementPolicy
                  const AccessInfo &info) override;
     std::uint64_t lineScore(std::uint32_t set,
                             std::uint32_t way) const override;
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::HeldSinceTouch;
+    }
 
   private:
     /** Build the feature vector for an access. */

@@ -102,6 +102,11 @@ class ParrotPolicy : public ReplacementPolicy
                   const AccessInfo &info) override;
     std::uint64_t lineScore(std::uint32_t set,
                             std::uint32_t way) const override;
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::HeldSinceTouch;
+    }
 
   private:
     double predictedNextUse(const LineMeta &line) const;

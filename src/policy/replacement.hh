@@ -71,6 +71,33 @@ struct LineMeta
 };
 
 /**
+ * How lineScore() of a way moves between touches of that way (a hit
+ * on it or a fill into it). A policy that promises one of the two
+ * rules lets the trace database keep one value per access instead of
+ * the whole set's scores; the database checks the promise on every
+ * access it stores.
+ */
+enum class ScoreRule : std::uint8_t {
+    /** No promise: any access may change any way's score. */
+    None,
+    /**
+     * A way's score is fixed by the access that last touched it and
+     * holds until its next touch, whatever other accesses do. Every
+     * never-touched way reads one constant.
+     */
+    HeldSinceTouch,
+    /**
+     * A way's score is fixed by its last touch, then grows by exactly
+     * one with every later access to the cache, in any set, until its
+     * next touch. A never-touched way reads a constant plus the
+     * number of accesses before the current one. An access that the
+     * cache bypasses without asking the policy (Cache's bypass
+     * filter) still counts, so such a filter can break the rule.
+     */
+    AgesPerAccess,
+};
+
+/**
  * Abstract replacement policy.
  *
  * Lifecycle: configure() once per cache, then per access either
@@ -143,6 +170,12 @@ class ReplacementPolicy
         (void)way;
         return 0;
     }
+
+    /**
+     * The rule lineScore() follows between touches of a way (see
+     * ScoreRule). Default: None, no promise.
+     */
+    virtual ScoreRule scoreRule() const { return ScoreRule::None; }
 };
 
 /** Policy identifiers used across the database and the retrievers. */

@@ -109,6 +109,11 @@ class DipPolicy : public ReplacementPolicy
                   const AccessInfo &info) override;
     std::uint64_t lineScore(std::uint32_t set,
                             std::uint32_t way) const override;
+    ScoreRule
+    scoreRule() const override
+    {
+        return ScoreRule::AgesPerAccess;
+    }
 
   private:
     enum class Leader : std::uint8_t { None, Lru, Bip };

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "base/logging.hh"
 #include "policy/basic_policies.hh"
 
 namespace cachemind::sim {
@@ -132,10 +131,8 @@ LlcReplayer::LlcReplayer(CacheConfig cfg,
 
 CacheStats
 LlcReplayer::replay(const std::vector<LlcAccess> &stream,
-                    const OracleInfo *oracle, const EventCallback &cb,
-                    std::uint32_t snapshot_every)
+                    const OracleInfo *oracle, const EventCallback &cb)
 {
-    CM_ASSERT(snapshot_every >= 1, "snapshot_every must be >= 1");
     const std::uint64_t total_lines =
         static_cast<std::uint64_t>(cache_->config().sets) *
         cache_->config().ways;
@@ -158,15 +155,12 @@ LlcReplayer::replay(const std::vector<LlcAccess> &stream,
         const std::uint32_t set = cache_->setOf(a.line);
         if (want_event) {
             ev.snapshot.clear();
-            ev.scores.clear();
-            if (i % snapshot_every == 0) {
-                for (const auto &l : cache_->linesOf(set)) {
-                    if (l.valid)
-                        ev.snapshot.push_back(SnapshotEntry{
-                            l.last_pc, l.line, l.last_access_index});
-                }
-                cache_->setScores(set, ev.scores);
+            for (const auto &l : cache_->linesOf(set)) {
+                if (l.valid)
+                    ev.snapshot.push_back(SnapshotEntry{
+                        l.last_pc, l.line, l.last_access_index});
             }
+            cache_->setScores(set, ev.scores);
         }
 
         // Victim forward-reuse info must be captured before access()

@@ -111,12 +111,7 @@ struct ReplayEvent
     std::vector<std::uint64_t> scores;
 };
 
-/**
- * Replays an LLC stream under a policy, emitting annotated events.
- *
- * Snapshot/score capture costs memory bandwidth; it can be decimated
- * with `snapshot_every` (1 = every event).
- */
+/** Replays an LLC stream under a policy, emitting annotated events. */
 class LlcReplayer
 {
   public:
@@ -137,8 +132,7 @@ class LlcReplayer
      * statistics are wanted.
      */
     CacheStats replay(const std::vector<LlcAccess> &stream,
-                      const OracleInfo *oracle, const EventCallback &cb,
-                      std::uint32_t snapshot_every = 1);
+                      const OracleInfo *oracle, const EventCallback &cb);
 
     Cache &cache() { return *cache_; }
     const Cache &cache() const { return *cache_; }

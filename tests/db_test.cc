@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the trace database: table storage round-trip, the
- * row-reference snapshot, victim and history columns against the
- * replay events they came from, statistics expert, metadata strings,
+ * row-reference snapshot, derived score, victim and history columns
+ * against the replay events they came from, the append check on a
+ * policy's score rule, statistics expert, metadata strings,
  * end-to-end building, shard views, the thread safety of the lazy
  * expert and postings-index caches, the index-vs-reference-scan
  * equivalence of filters and listings, and the byte-identical
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -368,32 +368,6 @@ TEST(TraceTableTest, HistoryIsThePrecedingRows)
 
 namespace {
 
-/** Replay `stream` on `llc` into a table, checking every row. */
-TraceTable
-replayChecked(const sim::CacheConfig &llc,
-              std::unique_ptr<policy::ReplacementPolicy> pol,
-              const std::vector<sim::LlcAccess> &stream,
-              const sim::OracleInfo &oracle,
-              std::function<bool(std::uint64_t)> bypass = nullptr)
-{
-    TraceTable t;
-    t.setLineBytes(llc.line_bytes);
-    t.setWays(llc.ways);
-    sim::LlcReplayer replayer(llc, std::move(pol));
-    if (bypass)
-        replayer.cache().setBypassFilter(std::move(bypass));
-    // A row's snapshot depends only on earlier rows, so each row can
-    // be checked as soon as it is appended, with no copy of the event.
-    replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
-        t.append(ev);
-        if (!::testing::Test::HasFailure()) {
-            EXPECT_EQ(rowMismatch(t, ev, llc.line_bytes), "");
-        }
-    });
-    EXPECT_EQ(t.size(), stream.size());
-    return t;
-}
-
 /** One load per (pc, line) pair, at the line's first byte. */
 std::vector<sim::LlcAccess>
 lineStream(const std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -506,6 +480,37 @@ TEST(TraceTableTest, SnapshotRebuildWithOneWay)
         victims += t.hasVictimAt(i) ? 1 : 0;
     }
     EXPECT_GT(victims, 20u);
+}
+
+TEST(TraceTableDeathTest, AppendRejectsScoresThatBreakTheirRule)
+{
+    // LRU's scores age by one per access, but an access a bypass
+    // filter turns away never reaches the policy and does not tick its
+    // clock. One set of two ways: rows 0 and 1 fill it, row 2 is
+    // turned away, and at row 3 way 0 reads 1 where the rule gives 2.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const sim::CacheConfig llc{"llc", 1, 2, 64, 26, 64};
+    const auto stream =
+        lineStream({{0xA0, 0}, {0xA1, 2}, {0xBAD, 4}, {0xA0, 0}});
+    const auto oracle = sim::computeOracle(stream);
+    const auto replay = [&](bool filter) {
+        TraceTable t;
+        auto pol = policy::makePolicy(policy::PolicyKind::Lru);
+        setUpTable(t, llc, *pol, stream.size(), 0);
+        sim::LlcReplayer replayer(llc, std::move(pol));
+        if (filter) {
+            replayer.cache().setBypassFilter(
+                [](std::uint64_t pc) { return pc == 0xBAD; });
+        }
+        replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
+            t.append(ev);
+        });
+        return t.size();
+    };
+    EXPECT_EQ(replay(false), stream.size());
+    EXPECT_DEATH(replay(true),
+                 "row 3: way 0 scores 1 where its policy's score rule "
+                 "gives 2");
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #include "policy/basic_policies.hh"
 #include "policy/parrot.hh"
 #include "policy/replacement.hh"
+#include "replay_rows.hh"
 #include "sim/cache.hh"
 #include "sim/llc_replay.hh"
 #include "trace/workload.hh"
@@ -155,6 +156,22 @@ TEST_P(PolicyPropertyTest, NeverWorseThanRandomByALot)
     const double baseline = replay(std::make_unique<RandomPolicy>());
     const double candidate = replay(makePolicy(GetParam()));
     EXPECT_GT(candidate, baseline * 0.35);
+}
+
+TEST_P(PolicyPropertyTest, TableRowsMatchReplayedEvents)
+{
+    // The trace database stores or derives a policy's scores as its
+    // scoreRule() says. Every row of a table set up as the builder
+    // sets one up must equal its replay event, on the half-hot random
+    // stream and on an mcf stream, with 16 ways as in the database.
+    const CacheConfig llc{"llc", 64, 16, 64, 26, 64};
+    const auto mcf = trace::makeWorkload(trace::WorkloadKind::Mcf);
+    for (const auto &stream : {randomStream(11, 20000, 4096),
+                               captureLlcStream(mcf->generate(20000))}) {
+        const auto oracle = computeOracle(stream);
+        replayChecked(llc, makeReplayPolicy(GetParam(), stream, oracle),
+                      stream, oracle);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

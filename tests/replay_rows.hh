@@ -2,18 +2,23 @@
  * @file
  * Test helpers: replay a stream under a policy as the database builder
  * does, and compare a trace table's row with the replay event it was
- * appended from, field by field, the rebuilt snapshot included.
+ * appended from, field by field, the rebuilt snapshot and the derived
+ * scores included.
  */
 
 #ifndef CACHEMIND_TESTS_REPLAY_ROWS_HH
 #define CACHEMIND_TESTS_REPLAY_ROWS_HH
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "db/builder.hh"
 #include "db/table.hh"
 #include "policy/parrot.hh"
 #include "sim/llc_replay.hh"
@@ -73,6 +78,42 @@ rowMismatch(const cachemind::db::TraceTable &t,
                                                    : nullptr;
     return field ? "row " + std::to_string(ev.index) + ": " + field
                  : std::string();
+}
+
+/**
+ * Replay `stream` on `llc` into a table set up as the database builder
+ * sets up each of its tables, and check every row against its event.
+ */
+inline cachemind::db::TraceTable
+replayChecked(const cachemind::sim::CacheConfig &llc,
+              std::unique_ptr<cachemind::policy::ReplacementPolicy> pol,
+              const std::vector<cachemind::sim::LlcAccess> &stream,
+              const cachemind::sim::OracleInfo &oracle,
+              std::function<bool(std::uint64_t)> bypass = nullptr)
+{
+    using namespace cachemind;
+    db::TraceTable t;
+    db::setUpTable(t, llc, *pol, stream.size(),
+                   db::BuildOptions{}.history_len);
+    sim::LlcReplayer replayer(llc, std::move(pol));
+    if (bypass) {
+        // The builder never filters. Accesses a filter turns away never
+        // reach the policy, so they do not tick LRU's clock and its
+        // scores stop aging by one per access: store them instead.
+        t.setScoreRule(policy::ScoreRule::None);
+        replayer.cache().setBypassFilter(std::move(bypass));
+    }
+    // A row's snapshot and scores depend only on earlier rows, so each
+    // row can be checked as soon as it is appended, with no copy of
+    // the event.
+    replayer.replay(stream, &oracle, [&](const sim::ReplayEvent &ev) {
+        t.append(ev);
+        if (!::testing::Test::HasFailure()) {
+            EXPECT_EQ(rowMismatch(t, ev, llc.line_bytes), "");
+        }
+    });
+    EXPECT_EQ(t.size(), stream.size());
+    return t;
 }
 
 #endif // CACHEMIND_TESTS_REPLAY_ROWS_HH

@@ -244,10 +244,8 @@ TEST(ReplayTest, EventsCarryNothingFromThePreviousAccess)
     LlcReplayer rep(CacheConfig{"llc", 2, 2, 64, 1, 4},
                     std::make_unique<LruPolicy>());
     std::vector<ReplayEvent> events;
-    rep.replay(
-        s, &oracle,
-        [&events](const ReplayEvent &ev) { events.push_back(ev); },
-        /*snapshot_every=*/2);
+    rep.replay(s, &oracle,
+               [&events](const ReplayEvent &ev) { events.push_back(ev); });
     ASSERT_EQ(events.size(), 6u);
 
     const ReplayEvent &evicting = events[2];
@@ -274,12 +272,6 @@ TEST(ReplayTest, EventsCarryNothingFromThePreviousAccess)
     EXPECT_FALSE(events[4].hit);
     EXPECT_EQ(events[4].miss_type, MissType::Compulsory);
 
-    // Only even events are snapshotted; the skipped ones are empty even
-    // right after a full snapshot.
-    for (const std::size_t i : {1u, 3u, 5u}) {
-        EXPECT_TRUE(events[i].snapshot.empty()) << i;
-        EXPECT_TRUE(events[i].scores.empty()) << i;
-    }
     // Set 1 is empty at access 4: no resident lines, one score per way.
     EXPECT_TRUE(events[4].snapshot.empty());
     EXPECT_EQ(events[4].scores.size(), 2u);
